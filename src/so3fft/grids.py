@@ -35,7 +35,6 @@ __all__ = [
     "beta_samples",
     "cartesian_to_sphere",
     "compose",
-    "euler_from_matrix",
     "inverse",
     "make_s2_grid",
     "make_so3_grid",
@@ -315,10 +314,6 @@ def matrix_to_euler(matrix: np.ndarray):
     if m.ndim == 2:
         return float(alpha), float(beta), float(gamma)
     return alpha, beta, gamma
-
-
-# Back-compat style alias; both names show up in calling code naturally.
-euler_from_matrix = matrix_to_euler
 
 
 def compose(first: Rotation, second: Rotation) -> Rotation:

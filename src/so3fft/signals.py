@@ -11,6 +11,7 @@ is loud.  Every object round-trips bitwise.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -311,6 +312,13 @@ def molecule_channels(
 
 # ---------------------------------------------------------------------------
 # CRC-64 (the xz variant: reflected 0xC96C5795D7870F42, init/xorout all-ones)
+#
+# The register update is linear over GF(2), so the payload is checksummed
+# as many word-interleaved lanes in lockstep, and the lane registers are
+# then summed, each first shifted over the bytes that follow it.  Shifting
+# a register over zero bytes is a 64x64 bit matrix, stored as eight
+# 256-entry tables indexed by the register's bytes (least significant
+# first); the slicing-by-8 tables are the shift over one 8-byte word.
 
 
 def _crc_tables() -> list[list[int]]:
@@ -330,29 +338,88 @@ def _crc_tables() -> list[list[int]]:
 
 _CRC_TABLES = _crc_tables()
 _CRC_MASK = 0xFFFFFFFFFFFFFFFF
+_U64 = np.dtype("<u8")
+# 2**13 lanes of one word each: a step's temporaries are 64 KB and stay in
+# cache.  2**14 lanes ran slower and raised peak memory (their 128 KB
+# temporaries sit at glibc's default mmap threshold).
+_CRC_LANES_LOG2 = 13
 
 
-def crc64(data: bytes, crc: int = 0) -> int:
-    """CRC-64/XZ of a byte string; chainable via the crc argument."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc ^= _CRC_MASK
-    view = memoryview(data)
-    head = len(view) - len(view) % 8
-    for i in range(0, head, 8):
-        crc ^= int.from_bytes(view[i : i + 8], "little")
-        crc = (
-            t7[crc & 0xFF]
-            ^ t6[(crc >> 8) & 0xFF]
-            ^ t5[(crc >> 16) & 0xFF]
-            ^ t4[(crc >> 24) & 0xFF]
-            ^ t3[(crc >> 32) & 0xFF]
-            ^ t2[(crc >> 40) & 0xFF]
-            ^ t1[(crc >> 48) & 0xFF]
-            ^ t0[(crc >> 56) & 0xFF]
+def _crc_shift(op: np.ndarray, registers: np.ndarray) -> np.ndarray:
+    """Apply a zero-byte shift operator (8, 256) to each 64-bit register."""
+    octets = np.ascontiguousarray(registers, dtype=_U64).view(np.uint8)
+    octets = octets.reshape(-1, 8)
+    out = op[0].take(octets[:, 0])
+    for k in range(1, 8):
+        out ^= op[k].take(octets[:, k])
+    return out
+
+
+@functools.cache
+def _crc_shift_words(log2_words: int) -> np.ndarray:
+    """The operator shifting a register over ``2**log2_words`` zero words,
+    by repeated squaring of the slicing-by-8 tables."""
+    if log2_words == 0:
+        op = np.array(_CRC_TABLES[::-1], dtype=_U64)
+    else:
+        half = _crc_shift_words(log2_words - 1)
+        # the registers with one nonzero byte, byte-major: their images
+        # under the squared operator are its tables
+        shifts = np.arange(8, dtype=_U64)[:, None] * 8
+        basis = (np.arange(256, dtype=_U64) << shifts).ravel()
+        op = _crc_shift(half, _crc_shift(half, basis)).reshape(8, 256)
+    op.flags.writeable = False
+    return op
+
+
+def _crc_fold(registers: np.ndarray) -> int:
+    """Combine lane registers r_0..r_{n-1}, lane i holding the words at
+    positions i, i + n, ...: the result is sum_i shift^(n - i)(r_i), with
+    shift the one-word operator."""
+    level = 0
+    while registers.size > 1:
+        if registers.size % 2:
+            # a zero register in front shifts to zero and moves no exponent
+            registers = np.concatenate([np.zeros(1, _U64), registers])
+        registers = (
+            _crc_shift(_crc_shift_words(level), registers[0::2])
+            ^ registers[1::2]
         )
-    for byte in view[head:]:
-        crc = t0[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ _CRC_MASK
+        level += 1
+    return int(_crc_shift(_crc_shift_words(0), registers)[0])
+
+
+def crc64(data, crc: int = 0) -> int:
+    """CRC-64/XZ of a byte buffer; chainable via the crc argument.
+
+    ``data`` is anything exposing a contiguous buffer (bytes, bytearray,
+    memoryview, numpy array) and is read in place.
+    """
+    octets = np.frombuffer(data, dtype=np.uint8)
+    spare = octets.size % 8
+    words = octets[: octets.size - spare].view(_U64)
+    state = crc ^ _CRC_MASK
+    # A round gives lane i the words at i, i + lanes, ...: each row shifts
+    # every register over one row of words, then adds the row.  Words left
+    # over (fewer than the lanes) make a second round of one row.
+    while words.size:
+        lanes = min(words.size, 1 << _CRC_LANES_LOG2)
+        rows = words[: words.size - words.size % lanes].reshape(-1, lanes)
+        registers = rows[0].copy()
+        registers[0] ^= np.uint64(state)
+        for row in rows[1:]:
+            registers = _crc_shift(_crc_shift_words(_CRC_LANES_LOG2), registers)
+            registers ^= row
+        state = _crc_fold(registers)
+        words = words[rows.size :]
+    if spare:
+        # byte j of the last partial word still passes spare - 1 - j bytes
+        state ^= int.from_bytes(octets[-spare:].tobytes(), "little")
+        shifted = state >> (8 * spare)
+        for j in range(spare):
+            shifted ^= _CRC_TABLES[spare - 1 - j][(state >> (8 * j)) & 0xFF]
+        state = shifted
+    return state ^ _CRC_MASK
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +476,31 @@ def _payload_spec(kind: str, bandwidth: int, channels: int):
 
 
 def _object_parts(obj):
+    """(kind, bandwidth, channels, arrays): the payload is the arrays'
+    elements in order."""
     if isinstance(obj, S2Signal):
-        return "s2", obj.bandwidth, obj.channels, obj.samples
+        return "s2", obj.bandwidth, obj.channels, [obj.samples]
     if isinstance(obj, SO3Signal):
-        return "so3", obj.bandwidth, obj.channels, obj.samples
+        return "so3", obj.bandwidth, obj.channels, [obj.samples]
     if isinstance(obj, S2Spectrum):
-        return "s2spec", obj.bandwidth, obj.channels, obj.data
+        return "s2spec", obj.bandwidth, obj.channels, [obj.data]
     if isinstance(obj, SO3Spectrum):
-        return "so3spec", obj.bandwidth, obj.channels, obj.data
+        return "so3spec", obj.bandwidth, obj.channels, [obj.data]
     if isinstance(obj, WignerTables):
-        flat = np.concatenate(
-            [obj.weights] + [block.ravel() for block in obj.d]
-        )
-        return "wigner-tables", obj.bandwidth, 0, flat
+        return "wigner-tables", obj.bandwidth, 0, [obj.weights, *obj.d]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_container(path, obj) -> None:
     """Serialize a signal, spectrum, or table set; see read_container."""
-    kind, bandwidth, channels, array = _object_parts(obj)
+    kind, bandwidth, channels, arrays = _object_parts(obj)
     dtype, count = _payload_spec(kind, bandwidth, channels)
-    payload = np.ascontiguousarray(
-        array, dtype="<f8" if dtype == "f64" else "<c16"
-    ).tobytes()
-    assert len(payload) == count * (8 if dtype == "f64" else 16)
+    element = np.dtype("<f8" if dtype == "f64" else "<c16")
+    parts = [
+        np.ascontiguousarray(array, dtype=element).reshape(-1).view(np.uint8)
+        for array in arrays
+    ]
+    assert sum(part.size for part in parts) == count * element.itemsize
 
     header = json.dumps(
         {
@@ -450,8 +518,11 @@ def write_container(path, obj) -> None:
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<Q", crc64(payload)))
+        crc = 0
+        for part in parts:
+            fh.write(part)
+            crc = crc64(part, crc)
+        fh.write(struct.pack("<Q", crc))
 
 
 def _parse_fixed_header(blob: bytes, path) -> tuple[dict, int]:
@@ -507,10 +578,13 @@ def read_container(path):
         )
     size = count * (8 if dtype == "f64" else 16)
 
-    payload = blob[offset : offset + size]
+    # slices of the view share the blob: the one copy of the payload is the
+    # one into the returned object
+    view = memoryview(blob)
+    payload = view[offset : offset + size]
     if len(payload) < size:
         raise TruncatedError(f"{path}: payload ends early")
-    tail = blob[offset + size :]
+    tail = view[offset + size :]
     if len(tail) < 8:
         raise TruncatedError(f"{path}: checksum missing")
     if len(tail) > 8:

@@ -22,6 +22,7 @@ from so3fft.signals import (
     read_pgm,
     write_container,
 )
+from so3fft.signals import _CRC_LANES_LOG2
 
 # --------------------------------------------------------------------------
 # portable graymaps
@@ -292,6 +293,113 @@ def test_crc64_detects_any_single_bit_flip():
     assert crc64(bytes(data)) != want
 
 
+# crc64 runs 2**_CRC_LANES_LOG2 word-interleaved lanes, so one row of lanes
+# spans ROW bytes; lengths and split points around multiples of WORD and ROW
+# reach every branch: full rows, a short last round, and a partial word.
+WORD = 8
+ROW = WORD << _CRC_LANES_LOG2
+BIG = (1 << 20) + 2 * ROW + 3 * WORD + 5  # odd, over 1 MB
+
+
+def crc64_bitwise(data, crc=0, at=()):
+    """CRC-64/XZ one bit per step, straight from the definition.
+
+    With ``at``, also return {n: CRC of data[:n]} for each length n in it.
+    """
+    poly = 0xC96C5795D7870F42
+    ones = (1 << 64) - 1
+    crc ^= ones
+    at = set(at)
+    prefixes = {0: crc ^ ones} if 0 in at else {}
+    for count, byte in enumerate(data, start=1):
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
+        if count in at:
+            prefixes[count] = crc ^ ones
+    return (crc ^ ones, prefixes) if at else crc ^ ones
+
+
+BOUNDARY_LENGTHS = sorted(
+    {
+        n + delta
+        for n in (
+            WORD,
+            2 * WORD,
+            ROW - WORD,
+            ROW,
+            ROW + WORD,
+            2 * ROW,
+            2 * ROW + 3 * WORD,
+            5 * ROW,
+        )
+        for delta in (-1, 0, 1)
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def big_payload():
+    """A seeded payload of odd length over 1 MB, with bitwise-reference
+    CRCs of the whole and of each prefix in BOUNDARY_LENGTHS."""
+    data = np.random.default_rng(64).integers(0, 256, BIG, dtype=np.uint8).tobytes()
+    whole, prefixes = crc64_bitwise(data, at=BOUNDARY_LENGTHS)
+    return data, whole, prefixes
+
+
+def test_crc64_bitwise_reference_check_vector():
+    assert crc64_bitwise(b"123456789") == 0x995DC9BBDF1939FA
+
+
+def test_crc64_matches_bitwise_reference_for_short_lengths():
+    data = np.random.default_rng(80).integers(0, 256, 80, dtype=np.uint8).tobytes()
+    _, prefixes = crc64_bitwise(data, at=range(81))
+    for n in range(81):
+        assert crc64(data[:n]) == prefixes[n], n
+
+
+def test_crc64_matches_bitwise_reference_at_word_and_lane_boundaries(big_payload):
+    data, _, prefixes = big_payload
+    for n in BOUNDARY_LENGTHS:
+        assert crc64(data[:n]) == prefixes[n], n
+
+
+def test_crc64_matches_bitwise_reference_over_a_megabyte(big_payload):
+    data, whole, _ = big_payload
+    assert len(data) >= 1 << 20 and len(data) % 2 == 1
+    assert crc64(data) == whole
+
+
+def test_crc64_chains_at_any_split(big_payload):
+    data, whole, _ = big_payload
+    view = memoryview(data)
+    # mid-word, a row start, mid-row at a word boundary, mid-row mid-word
+    splits = (1, 1001 * WORD + 3, ROW, ROW + 100 * WORD, 3 * ROW + 4, BIG - 1)
+    for split in splits:
+        assert crc64(view[split:], crc64(view[:split])) == whole, split
+
+
+def test_crc64_detects_single_bit_flips_across_a_megabyte(big_payload):
+    data, whole, _ = big_payload
+    # first byte, last byte, the two sides of the first row boundary, and
+    # the first byte of the second lane
+    flips = ((0, 0x01), (BIG - 1, 0x80), (ROW - 1, 0x80), (ROW, 0x01), (WORD, 0x10))
+    for position, bit in flips:
+        flipped = bytearray(data)
+        flipped[position] ^= bit
+        assert crc64(flipped) != whole, position
+
+
+def test_crc64_accepts_any_contiguous_buffer():
+    data = np.random.default_rng(3).standard_normal(ROW // WORD + 7)
+    raw = data.tobytes()
+    want = crc64(raw)
+    assert crc64(bytearray(raw)) == want
+    assert crc64(memoryview(raw)) == want
+    assert crc64(memoryview(data)) == want
+    assert crc64(data) == want
+
+
 # --------------------------------------------------------------------------
 # SSF1 container
 
@@ -402,3 +510,16 @@ def test_container_rejects_unknown_type():
 def test_container_errors_share_a_base():
     for cls in (BadMagicError, VersionError, TruncatedError, ChecksumError):
         assert issubclass(cls, ContainerError)
+
+
+def test_table_payload_is_the_concatenated_blocks(tmp_path):
+    # tables are written block by block with a chained checksum; the file
+    # must hold exactly the concatenated payload and its one-shot CRC
+    tables = build_tables(5)
+    path = tmp_path / "tables.ssf"
+    write_container(path, tables)
+    blob = path.read_bytes()
+    payload = np.concatenate([tables.weights] + [d.ravel() for d in tables.d])
+    raw = payload.astype("<f8").tobytes()
+    assert blob[-8 - len(raw) : -8] == raw
+    assert int.from_bytes(blob[-8:], "little") == crc64(raw)
