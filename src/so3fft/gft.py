@@ -289,13 +289,18 @@ def s2_fft_inverse(spectrum: S2Spectrum, tables: WignerTables | None = None) -> 
 def so3_fft_forward(signal: SO3Signal, tables: WignerTables | None = None) -> SO3Spectrum:
     b = signal.bandwidth
     t = _resolve_tables(b, tables)
-    order = _fft_order(b)
-    fc = np.fft.ifft2(signal.samples, axes=(2, 3))[:, :, order[:, None], order[None, :]]
+    # fftshift puts frequency f at index f + b; dropping index 0 (f = -b)
+    # leaves the centered axis -(b-1)..(b-1)
+    fc = np.fft.fftshift(
+        np.fft.ifft2(signal.samples, axes=(2, 3)), axes=(2, 3)
+    )[:, :, 1:, 1:]
     out = SO3Spectrum.zeros(b, signal.channels)
     for l in range(b):
         sl = _degree_slice(b, l)
+        # one strided pass; optimize=True would route this through batched
+        # matmuls with a transposed copy of the slice per degree
         out.blocks(l)[:] = np.einsum(
-            "j,jmn,kjmn->kmn", t.weights, t.d[l], fc[:, :, sl, sl], optimize=True
+            "jmn,kjmn->kmn", t.weights[:, None, None] * t.d[l], fc[:, :, sl, sl]
         )
     return out
 
@@ -305,15 +310,14 @@ def so3_fft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -
     t = _resolve_tables(b, tables)
     _check_spectrum(spectrum)
     k = spectrum.channels
-    gc = np.zeros((k, 2 * b, 2 * b - 1, 2 * b - 1), dtype=np.complex128)
+    # centered layout: frequency f at index f + b, the f = -b row and
+    # column left zero; ifftshift turns it into FFT layout
+    g = np.zeros((k, 2 * b, 2 * b, 2 * b), dtype=np.complex128)
+    gc = g[:, :, 1:, 1:]
     for l in range(b):
         sl = _degree_slice(b, l)
-        gc[:, :, sl, sl] += (2 * l + 1) * np.einsum(
-            "jmn,kmn->kjmn", t.d[l], spectrum.blocks(l), optimize=True
-        )
-    order = _fft_order(b)
-    g = np.zeros((k, 2 * b, 2 * b, 2 * b), dtype=np.complex128)
-    g[:, :, order[:, None], order[None, :]] = gc
+        gc[:, :, sl, sl] += t.d[l] * ((2 * l + 1) * spectrum.blocks(l))[:, None]
+    g = np.fft.ifftshift(g, axes=(2, 3))
     values, residue = _realized(np.fft.fft2(g, axes=(2, 3)))
     return SO3Signal(b, values, imag_residue=residue)
 
