@@ -1,8 +1,9 @@
 """Rotation cross-correlation via the block-diagonal spectral product.
 
 For real inputs, correlating a filter bank against a signal reduces degree
-by degree to ``C^l = fhat^l @ conj(psihat^l).T`` (outer product when the
-inputs live on the sphere), after which one inverse transform on the
+by degree to ``C^l = fhat^l @ conj(psihat^l).T`` over the spectra's column
+views (an outer product of the single ``n = 0`` columns when the inputs
+live on the sphere), after which one inverse transform on the
 rotation group recovers the correlation values on the full grid.  The same
 spectral route gives exact rotation of bandlimited signals and the zonal
 spherical convolution.
@@ -67,11 +68,21 @@ def make_correlation_plan(
     return CorrelationPlan(bandwidth_in, b_out, tables_in, tables_out)
 
 
-def _resolve_plan(f, psi, plan, bandwidth_out) -> CorrelationPlan:
+def _check_pair(psi, f, channels: bool = True) -> None:
+    """A filter and a signal must share a bandwidth and, when matched
+    channel by channel, a channel count."""
     if psi.bandwidth != f.bandwidth:
         raise ValueError(
             f"filter bandwidth {psi.bandwidth} != signal bandwidth {f.bandwidth}"
         )
+    if channels and psi.channels != f.channels:
+        raise ValueError(
+            f"filter channels {psi.channels} != signal channels {f.channels}"
+        )
+
+
+def _resolve_plan(f, psi, plan, bandwidth_out) -> CorrelationPlan:
+    _check_pair(psi, f, channels=False)
     if plan is None:
         return make_correlation_plan(f.bandwidth, bandwidth_out)
     if plan.bandwidth_in != f.bandwidth:
@@ -107,19 +118,7 @@ def s2_correlate(
 ) -> SO3Signal:
     """Correlation of a filter with a signal over all rotations; channels
     are matched pairwise and summed, giving a single output channel."""
-    if psi.channels != f.channels:
-        raise ValueError(
-            f"filter channels {psi.channels} != signal channels {f.channels}"
-        )
-    plan = _resolve_plan(f, psi, plan, bandwidth_out)
-    fs = s2_fft_forward(f, plan.tables_in)
-    ps = s2_fft_forward(psi, plan.tables_in)
-    out = SO3Spectrum.zeros(plan.bandwidth_out, 1)
-    for l in range(plan.bandwidth_out):
-        out.blocks(l)[0] = np.einsum(
-            "km,kn->mn", fs.blocks(l), ps.blocks(l).conj()
-        )
-    return so3_fft_inverse(out, plan.tables_out)
+    return multichannel_correlate(psi, f, plan, bandwidth_out, out_channels=1)
 
 
 def so3_correlate(
@@ -130,19 +129,7 @@ def so3_correlate(
 ) -> SO3Signal:
     """Correlation on the rotation group itself: per degree a plain matrix
     product of the coefficient blocks."""
-    if psi.channels != f.channels:
-        raise ValueError(
-            f"filter channels {psi.channels} != signal channels {f.channels}"
-        )
-    plan = _resolve_plan(f, psi, plan, bandwidth_out)
-    fs = so3_fft_forward(f, plan.tables_in)
-    ps = so3_fft_forward(psi, plan.tables_in)
-    out = SO3Spectrum.zeros(plan.bandwidth_out, 1)
-    for l in range(plan.bandwidth_out):
-        out.blocks(l)[0] = np.einsum(
-            "kmn,kpn->mp", fs.blocks(l), ps.blocks(l).conj()
-        )
-    return so3_fft_inverse(out, plan.tables_out)
+    return multichannel_correlate(psi, f, plan, bandwidth_out, out_channels=1)
 
 
 def multichannel_correlate(
@@ -177,15 +164,11 @@ def multichannel_correlate(
         raise ValueError("bank and signal must live on the same domain")
     out = SO3Spectrum.zeros(plan.bandwidth_out, k_out)
     for l in range(plan.bandwidth_out):
-        bank_l = ps.blocks(l).conj().reshape((k_out, k_in) + ps.blocks(l).shape[1:])
-        if on_sphere:
-            out.blocks(l)[:] = np.einsum(
-                "km,okn->omn", fs.blocks(l), bank_l, optimize=True
-            )
-        else:
-            out.blocks(l)[:] = np.einsum(
-                "kmn,okpn->omp", fs.blocks(l), bank_l, optimize=True
-            )
+        # on the sphere both column views hold the single n = 0 column
+        bank_l = ps.columns(l).conj().reshape(k_out, k_in, 2 * l + 1, -1)
+        out.blocks(l)[:] = np.einsum(
+            "kmn,okpn->omp", fs.columns(l), bank_l, optimize=True
+        )
     return so3_fft_inverse(out, plan.tables_out)
 
 
@@ -206,24 +189,24 @@ def relu_spatial(signal):
     return type(signal)(signal.bandwidth, np.maximum(signal.samples, 0.0))
 
 
-def rotate_s2_spectrum(spectrum: S2Spectrum, rotation: Rotation) -> S2Spectrum:
-    """Coefficients of ``x -> f(R^-1 x)``: left-multiply each degree block
-    by the conjugate rotation matrix."""
+def _rotate_spectrum(spectrum, rotation: Rotation):
     d = wigner_D_matrices(spectrum.bandwidth - 1, rotation)
     out = spectrum.copy()
     for l in range(spectrum.bandwidth):
-        out.blocks(l)[:] = spectrum.blocks(l) @ d[l].conj().T
+        out.columns(l)[:] = np.einsum(
+            "mp,kpn->kmn", d[l].conj(), spectrum.columns(l)
+        )
     return out
+
+
+def rotate_s2_spectrum(spectrum: S2Spectrum, rotation: Rotation) -> S2Spectrum:
+    """Coefficients of ``x -> f(R^-1 x)``: left-multiply each degree's
+    columns by the conjugate rotation matrix."""
+    return _rotate_spectrum(spectrum, rotation)
 
 
 def rotate_so3_spectrum(spectrum: SO3Spectrum, rotation: Rotation) -> SO3Spectrum:
-    d = wigner_D_matrices(spectrum.bandwidth - 1, rotation)
-    out = spectrum.copy()
-    for l in range(spectrum.bandwidth):
-        out.blocks(l)[:] = np.einsum(
-            "mp,kpn->kmn", d[l].conj(), spectrum.blocks(l)
-        )
-    return out
+    return _rotate_spectrum(spectrum, rotation)
 
 
 def rotate_s2_spectral(
@@ -248,14 +231,7 @@ def dh_convolve(
     """Spherical convolution; only the azimuthal average of the filter
     survives, which is exactly why correlation is the more expressive
     primitive."""
-    if psi.bandwidth != f.bandwidth:
-        raise ValueError(
-            f"filter bandwidth {psi.bandwidth} != signal bandwidth {f.bandwidth}"
-        )
-    if psi.channels != f.channels:
-        raise ValueError(
-            f"filter channels {psi.channels} != signal channels {f.channels}"
-        )
+    _check_pair(psi, f)
     fs = s2_fft_forward(f, tables)
     ps = s2_fft_forward(psi, tables)
     out = S2Spectrum.zeros(f.bandwidth, 1)

@@ -14,9 +14,11 @@ coefficients obey ``fhat^l_{-m,-n} = (-1)^(m-n) conj(fhat^l_{mn})``.
 
 Each transform has two implementations with identical results:
 
-* the fast path: an FFT over the equispaced alpha (and gamma) axes followed
-  by a per-degree contraction over colatitude rings against precomputed
-  Wigner-d tables;
+* the fast path, one engine for both domains: an FFT over the equispaced
+  alpha and gamma axes, then a per-degree contraction over colatitude rings
+  against precomputed Wigner-d tables.  A sphere signal is the rotation
+  grid with a single gamma sample, whose only column is ``n = 0``
+  (``Y^l_m = D^l_m0``);
 * the direct path (``*_dft_*``): explicit weighted sums of the samples
   against the sampled basis functions, ring by ring, with no FFT anywhere.
   For small grids this is competitive; it shares nothing with the fast path
@@ -79,53 +81,46 @@ def so3_coefficient_count(bandwidth: int) -> int:
     return b * (2 * b - 1) * (2 * b + 1) // 3
 
 
-def _normalize_samples(samples, trailing: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim == len(trailing):
-        arr = arr[None]
-    if arr.ndim != len(trailing) + 1 or arr.shape[1:] != trailing:
-        raise ValueError(
-            f"expected samples shaped (channels,) + {trailing}, got {arr.shape}"
-        )
-    if arr.shape[0] < 1:
-        raise ValueError("signal needs at least one channel")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples contain non-finite values")
-    return np.ascontiguousarray(arr)
-
-
 @dataclass(eq=False)
-class S2Signal:
+class _GridSignal:
+    """Real samples on a ``2b``-per-axis grid, ``[channel, beta, alpha, ...]``;
+    subclasses differ only in their number of grid axes, ``_axes``."""
+
+    bandwidth: int
+    samples: np.ndarray
+    imag_residue: float = field(default=0.0, compare=False)
+
+    def __post_init__(self):
+        b = validate_bandwidth(self.bandwidth)
+        trailing = (2 * b,) * self._axes
+        arr = np.asarray(self.samples, dtype=np.float64)
+        if arr.ndim == len(trailing):
+            arr = arr[None]
+        if arr.ndim != len(trailing) + 1 or arr.shape[1:] != trailing:
+            raise ValueError(
+                f"expected samples shaped (channels,) + {trailing}, got {arr.shape}"
+            )
+        if arr.shape[0] < 1:
+            raise ValueError("signal needs at least one channel")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples contain non-finite values")
+        self.samples = np.ascontiguousarray(arr)
+
+    @property
+    def channels(self) -> int:
+        return self.samples.shape[0]
+
+
+class S2Signal(_GridSignal):
     """Real samples on the 2b x 2b sphere grid, ``[channel, beta, alpha]``."""
 
-    bandwidth: int
-    samples: np.ndarray
-    imag_residue: float = field(default=0.0, compare=False)
-
-    def __post_init__(self):
-        b = validate_bandwidth(self.bandwidth)
-        self.samples = _normalize_samples(self.samples, (2 * b, 2 * b))
-
-    @property
-    def channels(self) -> int:
-        return self.samples.shape[0]
+    _axes = 2
 
 
-@dataclass(eq=False)
-class SO3Signal:
+class SO3Signal(_GridSignal):
     """Real samples on the 2b^3 rotation grid, ``[channel, beta, alpha, gamma]``."""
 
-    bandwidth: int
-    samples: np.ndarray
-    imag_residue: float = field(default=0.0, compare=False)
-
-    def __post_init__(self):
-        b = validate_bandwidth(self.bandwidth)
-        self.samples = _normalize_samples(self.samples, (2 * b, 2 * b, 2 * b))
-
-    @property
-    def channels(self) -> int:
-        return self.samples.shape[0]
+    _axes = 3
 
 
 class _SpectrumBase:
@@ -171,6 +166,14 @@ class _SpectrumBase:
             )
         return type(self)(b_out, self.data[:, : self._count(b_out)].copy())
 
+    def block(self, channel: int, degree: int) -> np.ndarray:
+        return self.blocks(degree)[channel]
+
+    def columns(self, degree: int) -> np.ndarray:
+        """Degree ``degree`` as ``(K, 2l+1, columns)``: every ``n`` on the
+        rotation group, the single ``n = 0`` column on the sphere."""
+        return self.blocks(degree).reshape(self.channels, 2 * degree + 1, -1)
+
     def weighted_energy(self) -> np.ndarray:
         """Per-channel ``sum_l (2l+1) * ||block_l||_F^2`` (the quadrature
         squared L2 norm of the synthesised signal, by Parseval)."""
@@ -191,9 +194,6 @@ class S2Spectrum(_SpectrumBase):
         l = degree
         return self.data[:, l * l : (l + 1) * (l + 1)]
 
-    def block(self, channel: int, degree: int) -> np.ndarray:
-        return self.blocks(degree)[channel]
-
 
 class SO3Spectrum(_SpectrumBase):
     @staticmethod
@@ -207,9 +207,6 @@ class SO3Spectrum(_SpectrumBase):
         n = 2 * l + 1
         return self.data[:, off : off + n * n].reshape(self.channels, n, n)
 
-    def block(self, channel: int, degree: int) -> np.ndarray:
-        return self.blocks(degree)[channel]
-
 
 def _resolve_tables(bandwidth: int, tables: WignerTables | None) -> WignerTables:
     if tables is None:
@@ -222,14 +219,9 @@ def _resolve_tables(bandwidth: int, tables: WignerTables | None) -> WignerTables
     return tables
 
 
-def _fft_order(bandwidth: int) -> np.ndarray:
-    # positions of frequencies -(b-1)..(b-1) in FFT layout of length 2b
-    return np.arange(-(bandwidth - 1), bandwidth) % (2 * bandwidth)
-
-
-def _degree_slice(bandwidth: int, degree: int) -> slice:
-    # frequencies -l..l inside the centered axis of length 2b-1
-    return slice(bandwidth - 1 - degree, bandwidth + degree)
+def _centered(center: int, half: int) -> slice:
+    # frequencies -half..half on an axis holding frequency 0 at ``center``
+    return slice(center - half, center + half + 1)
 
 
 def _check_spectrum(spectrum) -> None:
@@ -242,7 +234,7 @@ def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
     residue = float(np.max(np.abs(values.imag))) / scale
     if residue > IMAG_RESIDUE_TOL:
         raise GuardError(
-            f"imaginary residue {residue:.3e} after inverse transform "
+            f"imaginary residue {residue:.3e} after synthesis "
             f"exceeds {IMAG_RESIDUE_TOL:.0e}; spectrum violates the "
             "real-signal symmetry"
         )
@@ -253,73 +245,68 @@ def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
 # fast paths: FFT over alpha/gamma, table contraction over beta
 # ---------------------------------------------------------------------------
 
-def s2_fft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
-    b = signal.bandwidth
+def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
+    """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid; a sphere
+    signal is the grid with a single gamma sample (G = 1)."""
+    b = samples.shape[1] // 2
     t = _resolve_tables(b, tables)
-    # ifft supplies the 1/(2b) azimuth average together with e^{+im alpha}
-    fc = np.fft.ifft(signal.samples, axis=2)[:, :, _fft_order(b)]
-    out = S2Spectrum.zeros(b, signal.channels)
+    # ifft2 supplies the uniform alpha/gamma averages together with
+    # e^{+i(m alpha + n gamma)}; fftshift puts frequency f at index
+    # f + len // 2 on each axis
+    fc = np.fft.fftshift(np.fft.ifft2(samples, axes=(2, 3)), axes=(2, 3))
+    h = fc.shape[3] // 2
+    out = spectrum_cls.zeros(b, samples.shape[0])
     for l in range(b):
-        sl = _degree_slice(b, l)
-        col = t.d[l][:, :, l]  # d^l_{m0} at the ring colatitudes
-        out.blocks(l)[:] = np.einsum(
-            "j,jm,kjm->km", t.weights, col, fc[:, :, sl], optimize=True
+        cols = out.columns(l)
+        c = cols.shape[2] // 2  # the columns |n| <= c held by this domain
+        # one strided pass; optimize=True would route this through batched
+        # matmuls with a transposed copy of the slice per degree
+        cols[:] = np.einsum(
+            "jmn,kjmn->kmn",
+            t.weights[:, None, None] * t.d[l][:, :, _centered(l, c)],
+            fc[:, :, _centered(b, l), _centered(h, c)],
         )
     return out
+
+
+def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
+    """Synthesis onto the rotation grid ``(K, 2b, 2b, G)``, with G = 1 gamma
+    sample for a sphere spectrum (its single column is n = 0)."""
+    b = spectrum.bandwidth
+    t = _resolve_tables(b, tables)
+    _check_spectrum(spectrum)
+    gammas = 2 * b if signal_cls is SO3Signal else 1
+    h = gammas // 2
+    # centered layout: frequency f at index f + len // 2, the f = -b rows
+    # left zero; ifftshift turns it into FFT layout
+    g = np.zeros((spectrum.channels, 2 * b, 2 * b, gammas), dtype=np.complex128)
+    for l in range(b):
+        cols = spectrum.columns(l)
+        c = cols.shape[2] // 2
+        g[:, :, _centered(b, l), _centered(h, c)] += (
+            t.d[l][:, :, _centered(l, c)] * ((2 * l + 1) * cols)[:, None]
+        )
+    g = np.fft.ifftshift(g, axes=(2, 3))
+    values, residue = _realized(np.fft.fft2(g, axes=(2, 3)))
+    if gammas == 1:
+        values = values[..., 0]
+    return signal_cls(b, values, imag_residue=residue)
+
+
+def s2_fft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
+    return _fft_forward(signal.samples[..., None], S2Spectrum, tables)
 
 
 def s2_fft_inverse(spectrum: S2Spectrum, tables: WignerTables | None = None) -> S2Signal:
-    b = spectrum.bandwidth
-    t = _resolve_tables(b, tables)
-    _check_spectrum(spectrum)
-    k = spectrum.channels
-    gc = np.zeros((k, 2 * b, 2 * b - 1), dtype=np.complex128)
-    for l in range(b):
-        sl = _degree_slice(b, l)
-        col = t.d[l][:, :, l]
-        gc[:, :, sl] += (2 * l + 1) * np.einsum(
-            "jm,km->kjm", col, spectrum.blocks(l), optimize=True
-        )
-    g = np.zeros((k, 2 * b, 2 * b), dtype=np.complex128)
-    g[:, :, _fft_order(b)] = gc
-    values, residue = _realized(np.fft.fft(g, axis=2))
-    return S2Signal(b, values, imag_residue=residue)
+    return _fft_inverse(spectrum, S2Signal, tables)
 
 
 def so3_fft_forward(signal: SO3Signal, tables: WignerTables | None = None) -> SO3Spectrum:
-    b = signal.bandwidth
-    t = _resolve_tables(b, tables)
-    # fftshift puts frequency f at index f + b; dropping index 0 (f = -b)
-    # leaves the centered axis -(b-1)..(b-1)
-    fc = np.fft.fftshift(
-        np.fft.ifft2(signal.samples, axes=(2, 3)), axes=(2, 3)
-    )[:, :, 1:, 1:]
-    out = SO3Spectrum.zeros(b, signal.channels)
-    for l in range(b):
-        sl = _degree_slice(b, l)
-        # one strided pass; optimize=True would route this through batched
-        # matmuls with a transposed copy of the slice per degree
-        out.blocks(l)[:] = np.einsum(
-            "jmn,kjmn->kmn", t.weights[:, None, None] * t.d[l], fc[:, :, sl, sl]
-        )
-    return out
+    return _fft_forward(signal.samples, SO3Spectrum, tables)
 
 
 def so3_fft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -> SO3Signal:
-    b = spectrum.bandwidth
-    t = _resolve_tables(b, tables)
-    _check_spectrum(spectrum)
-    k = spectrum.channels
-    # centered layout: frequency f at index f + b, the f = -b row and
-    # column left zero; ifftshift turns it into FFT layout
-    g = np.zeros((k, 2 * b, 2 * b, 2 * b), dtype=np.complex128)
-    gc = g[:, :, 1:, 1:]
-    for l in range(b):
-        sl = _degree_slice(b, l)
-        gc[:, :, sl, sl] += t.d[l] * ((2 * l + 1) * spectrum.blocks(l))[:, None]
-    g = np.fft.ifftshift(g, axes=(2, 3))
-    values, residue = _realized(np.fft.fft2(g, axes=(2, 3)))
-    return SO3Signal(b, values, imag_residue=residue)
+    return _fft_inverse(spectrum, SO3Signal, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +328,7 @@ def s2_dft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Sp
     for j in range(2 * b):
         ring = signal.samples[:, j] @ e  # (K, 2b-1), sums over the ring
         for l in range(b):
-            sl = _degree_slice(b, l)
+            sl = _centered(b - 1, l)
             blk = out.blocks(l)
             blk += w[j] * t.d[l][j, :, l] * ring[:, sl]
     return out
@@ -357,7 +344,7 @@ def s2_dft_inverse(spectrum: S2Spectrum, tables: WignerTables | None = None) -> 
     for j in range(2 * b):
         acc = np.zeros((k, 2 * b - 1), dtype=np.complex128)
         for l in range(b):
-            sl = _degree_slice(b, l)
+            sl = _centered(b - 1, l)
             acc[:, sl] += (2 * l + 1) * t.d[l][j, :, l] * spectrum.blocks(l)
         values[:, j] = acc @ e_conj.T
     real, residue = _realized(values)
@@ -373,7 +360,7 @@ def so3_dft_forward(signal: SO3Signal, tables: WignerTables | None = None) -> SO
     for j in range(2 * b):
         ring = np.einsum("im,cik,kn->cmn", e, signal.samples[:, j], e, optimize=True)
         for l in range(b):
-            sl = _degree_slice(b, l)
+            sl = _centered(b - 1, l)
             blk = out.blocks(l)
             blk += w[j] * t.d[l][j] * ring[:, sl, sl]
     return out
@@ -389,7 +376,7 @@ def so3_dft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -
     for j in range(2 * b):
         acc = np.zeros((k, 2 * b - 1, 2 * b - 1), dtype=np.complex128)
         for l in range(b):
-            sl = _degree_slice(b, l)
+            sl = _centered(b - 1, l)
             acc[:, sl, sl] += (2 * l + 1) * t.d[l][j] * spectrum.blocks(l)
         values[:, j] = np.einsum("cmn,im,kn->cik", acc, e_conj, e_conj, optimize=True)
     real, residue = _realized(values)

@@ -29,7 +29,6 @@ __all__ = [
     "GIMBAL_EPS",
     "Rotation",
     "S2Grid",
-    "S2Point",
     "SO3Grid",
     "angle_samples",
     "beta_samples",
@@ -109,18 +108,6 @@ def cartesian_to_sphere(xyz) -> tuple[np.ndarray, np.ndarray]:
     beta = np.arctan2(planar, xyz[..., 2])
     alpha = np.arctan2(xyz[..., 1], xyz[..., 0]) % _TWO_PI
     return alpha, beta
-
-
-@dataclass(frozen=True)
-class S2Point:
-    """A point on the sphere, azimuth ``alpha`` and colatitude ``beta``."""
-
-    alpha: float
-    beta: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return sphere_to_cartesian(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gft import GuardError, IMAG_RESIDUE_TOL, S2Signal, S2Spectrum, SO3Signal, SO3Spectrum
+from .correlation import _check_pair
+from .gft import S2Signal, S2Spectrum, SO3Signal, SO3Spectrum, _realized
 from .grids import (
     Rotation,
     cartesian_to_sphere,
@@ -52,16 +53,6 @@ def _require_small(bandwidth: int, cap: int, force: bool, what: str) -> None:
             f"{what} costs O(grid^2) and is capped at bandwidth {cap}; "
             f"got {bandwidth} (pass force=True to run anyway)"
         )
-
-
-def _as_real(values: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values.real))))
-    residue = float(np.max(np.abs(values.imag))) / scale
-    if residue > IMAG_RESIDUE_TOL:
-        raise GuardError(
-            f"oracle synthesis has imaginary residue {residue:.3e}"
-        )
-    return values.real
 
 
 def s2_project_direct(signal: S2Signal) -> S2Spectrum:
@@ -162,7 +153,7 @@ def rotate_s2_by_resampling(signal: S2Signal, rotation: Rotation) -> S2Signal:
     av, bv = np.meshgrid(grid.alphas, grid.betas)  # (beta, alpha) layout
     points = sphere_to_cartesian(av, bv) @ rotation.matrix  # R^-1 x = R^T x
     alphas, betas = cartesian_to_sphere(points)
-    values = _as_real(synthesize_s2_at(spec, alphas, betas))
+    values, _ = _realized(synthesize_s2_at(spec, alphas, betas))
     return S2Signal(b, values.reshape(signal.samples.shape))
 
 
@@ -172,19 +163,8 @@ def rotate_so3_by_resampling(signal: SO3Signal, rotation: Rotation) -> SO3Signal
     spec = so3_project_direct(signal)
     mats = np.einsum("ab,jikbc->jikac", rotation.matrix.T, so3_grid_matrices(b))
     alphas, betas, gammas = matrix_to_euler(mats.reshape(-1, 3, 3))
-    values = _as_real(synthesize_so3_at(spec, alphas, betas, gammas))
+    values, _ = _realized(synthesize_so3_at(spec, alphas, betas, gammas))
     return SO3Signal(b, values.reshape(signal.samples.shape))
-
-
-def _check_pair(psi, f) -> None:
-    if psi.bandwidth != f.bandwidth:
-        raise ValueError(
-            f"filter bandwidth {psi.bandwidth} != signal bandwidth {f.bandwidth}"
-        )
-    if psi.channels != f.channels:
-        raise ValueError(
-            f"filter channels {psi.channels} != signal channels {f.channels}"
-        )
 
 
 def s2_correlate_direct(

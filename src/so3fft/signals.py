@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -470,8 +471,8 @@ def _payload_spec(kind: str, bandwidth: int, channels: int):
     if kind == "so3spec":
         return "c128", channels * so3_coefficient_count(bandwidth)
     if kind == "wigner-tables":
-        count = n + sum((2 * l + 1) ** 2 * n for l in range(bandwidth))
-        return "f64", count
+        # the ring weights, then one (2l+1)^2 block per ring and degree
+        return "f64", n * (1 + so3_coefficient_count(bandwidth))
     raise ContainerError(f"unknown container type {kind!r}")
 
 
@@ -525,20 +526,22 @@ def write_container(path, obj) -> None:
         fh.write(struct.pack("<Q", crc))
 
 
-def _parse_fixed_header(blob: bytes, path) -> tuple[dict, int]:
-    """Validate magic/version and return (header dict, payload offset)."""
-    if len(blob) < 12:
+def _read_header(fh, path) -> tuple[dict, int]:
+    """Read and validate the fixed and JSON headers at the start of ``fh``;
+    return (header dict, payload offset)."""
+    fixed = fh.read(12)
+    if len(fixed) < 12:
         raise TruncatedError(f"{path}: shorter than the fixed header")
-    if blob[:4] != _MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack("<I", blob[4:8])
+    if fixed[:4] != _MAGIC:
+        raise BadMagicError(f"{path}: bad magic {fixed[:4]!r}")
+    version, header_len = struct.unpack("<II", fixed[4:12])
     if version != _VERSION:
         raise VersionError(f"{path}: format version {version}, expected {_VERSION}")
-    (header_len,) = struct.unpack("<I", blob[8:12])
-    if len(blob) < 12 + header_len:
+    raw = fh.read(header_len)
+    if len(raw) < header_len:
         raise TruncatedError(f"{path}: header ends early")
     try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: unparseable header: {exc}") from None
     for key in ("type", "bandwidth", "channels", "dtype", "layout"):
@@ -550,47 +553,45 @@ def _parse_fixed_header(blob: bytes, path) -> tuple[dict, int]:
 def read_container_header(path) -> dict:
     """Parse and validate just the JSON header."""
     with open(path, "rb") as fh:
-        blob = fh.read(12)
-        if len(blob) == 12:
-            (header_len,) = struct.unpack("<I", blob[8:12])
-            blob += fh.read(header_len)
-    header, _ = _parse_fixed_header(blob, path)
-    return header
+        return _read_header(fh, path)[0]
 
 
 def read_container(path):
     """Load whatever write_container stored, verifying the checksum."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    header, offset = _parse_fixed_header(blob, path)
+        header, offset = _read_header(fh, path)
+        kind = header["type"]
+        bandwidth = header["bandwidth"]
+        channels = header["channels"]
+        if not isinstance(bandwidth, int) or bandwidth < 1:
+            raise ContainerError(f"{path}: bad bandwidth {bandwidth!r}")
+        if not isinstance(channels, int) or channels < 0:
+            raise ContainerError(f"{path}: bad channel count {channels!r}")
+        dtype, count = _payload_spec(kind, bandwidth, channels)
+        if header["dtype"] != dtype:
+            raise ContainerError(
+                f"{path}: dtype {header['dtype']!r} does not match type {kind!r}"
+            )
+        flat_dtype = np.dtype("<f8" if dtype == "f64" else "<c16")
+        size = count * flat_dtype.itemsize
 
-    kind = header["type"]
-    bandwidth = header["bandwidth"]
-    channels = header["channels"]
-    if not isinstance(bandwidth, int) or bandwidth < 1:
-        raise ContainerError(f"{path}: bad bandwidth {bandwidth!r}")
-    if not isinstance(channels, int) or channels < 0:
-        raise ContainerError(f"{path}: bad channel count {channels!r}")
-    dtype, count = _payload_spec(kind, bandwidth, channels)
-    if header["dtype"] != dtype:
-        raise ContainerError(
-            f"{path}: dtype {header['dtype']!r} does not match type {kind!r}"
-        )
-    size = count * (8 if dtype == "f64" else 16)
-
-    # slices of the view share the blob: the one copy of the payload is the
-    # one into the returned object
-    view = memoryview(blob)
-    payload = view[offset : offset + size]
-    if len(payload) < size:
-        raise TruncatedError(f"{path}: payload ends early")
-    tail = view[offset + size :]
-    if len(tail) < 8:
-        raise TruncatedError(f"{path}: checksum missing")
-    if len(tail) > 8:
-        raise ContainerError(f"{path}: trailing bytes after checksum")
+        # sizes are checked against the file before the payload is
+        # allocated, so a header claiming a huge object fails cheaply
+        file_size = os.fstat(fh.fileno()).st_size
+        if file_size < offset + size:
+            raise TruncatedError(f"{path}: payload ends early")
+        if file_size < offset + size + 8:
+            raise TruncatedError(f"{path}: checksum missing")
+        if file_size > offset + size + 8:
+            raise ContainerError(f"{path}: trailing bytes after checksum")
+        # the payload is read once, straight into the returned arrays
+        flat = np.empty(count, dtype=flat_dtype)
+        got = fh.readinto(flat.view(np.uint8))
+        tail = fh.read(8)
+    if got != size or len(tail) != 8:
+        raise TruncatedError(f"{path}: file shrank while being read")
     (stored,) = struct.unpack("<Q", tail)
-    actual = crc64(payload)
+    actual = crc64(flat)
     if stored != actual:
         raise ChecksumError(
             f"{path}: checksum {actual:#018x} != stored {stored:#018x}"
@@ -598,25 +599,22 @@ def read_container(path):
 
     n = 2 * bandwidth
     if kind == "s2":
-        flat = np.frombuffer(payload, dtype="<f8")
-        return S2Signal(bandwidth, flat.reshape(channels, n, n).copy())
+        return S2Signal(bandwidth, flat.reshape(channels, n, n))
     if kind == "so3":
-        flat = np.frombuffer(payload, dtype="<f8")
-        return SO3Signal(bandwidth, flat.reshape(channels, n, n, n).copy())
+        return SO3Signal(bandwidth, flat.reshape(channels, n, n, n))
     if kind == "s2spec":
-        spec = S2Spectrum.zeros(bandwidth, channels)
-        spec.data[:] = np.frombuffer(payload, dtype="<c16").reshape(channels, -1)
-        return spec
+        return S2Spectrum(
+            bandwidth, flat.reshape(channels, s2_coefficient_count(bandwidth))
+        )
     if kind == "so3spec":
-        spec = SO3Spectrum.zeros(bandwidth, channels)
-        spec.data[:] = np.frombuffer(payload, dtype="<c16").reshape(channels, -1)
-        return spec
-    flat = np.frombuffer(payload, dtype="<f8")
-    weights = flat[:n].copy()
+        return SO3Spectrum(
+            bandwidth, flat.reshape(channels, so3_coefficient_count(bandwidth))
+        )
+    # the table blocks are views of the one payload buffer
     blocks = []
     pos = n
     for l in range(bandwidth):
         width = 2 * l + 1
-        blocks.append(flat[pos : pos + width * width * n].reshape(n, width, width).copy())
+        blocks.append(flat[pos : pos + width * width * n].reshape(n, width, width))
         pos += width * width * n
-    return WignerTables(bandwidth, blocks, weights)
+    return WignerTables(bandwidth, blocks, flat[:n])
