@@ -111,10 +111,13 @@ def _cmd_transform(args) -> int:
         )
     result = _TRANSFORMS[(args.kind, args.direction, args.path)](obj)
     write_container(args.output, result)
-    print(
+    summary = (
         f"{args.kind} {args.direction} ({args.path}) b={obj.bandwidth} "
         f"channels={obj.channels} -> {args.output}"
     )
+    if args.direction == "inverse":
+        summary += f" imag_residue={result.imag_residue:.3e}"
+    print(summary)
     return 0
 
 

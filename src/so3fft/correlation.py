@@ -12,6 +12,7 @@ spherical convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +48,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationPlan:
-    """Precomputed tables for repeated correlations at fixed shapes."""
+    """Tables for repeated correlations at fixed shapes.  The output tables
+    are built with the plan; the input tables on first use by each input
+    domain, and then pinned: every column for rotation-group signals, the
+    n = 0 column alone for sphere signals."""
 
     bandwidth_in: int
     bandwidth_out: int
-    tables_in: WignerTables
     tables_out: WignerTables
+
+    @cached_property
+    def tables_in(self) -> WignerTables:
+        return cached_tables(self.bandwidth_in)
+
+    @cached_property
+    def tables_in_s2(self) -> WignerTables:
+        return cached_tables(self.bandwidth_in, "zero")
 
 
 def make_correlation_plan(
@@ -63,9 +74,7 @@ def make_correlation_plan(
         raise ValueError(
             f"output bandwidth must be in 1..{bandwidth_in}, got {b_out}"
         )
-    tables_in = cached_tables(bandwidth_in)
-    tables_out = tables_in if b_out == bandwidth_in else cached_tables(b_out)
-    return CorrelationPlan(bandwidth_in, b_out, tables_in, tables_out)
+    return CorrelationPlan(bandwidth_in, b_out, cached_tables(b_out))
 
 
 def _check_pair(psi, f, channels: bool = True) -> None:
@@ -155,11 +164,12 @@ def multichannel_correlate(
     plan = _resolve_plan(f, bank, plan, bandwidth_out)
 
     fwd = s2_fft_forward if on_sphere else so3_fft_forward
-    fs = fwd(f, plan.tables_in)
+    tables_in = plan.tables_in_s2 if on_sphere else plan.tables_in
+    fs = fwd(f, tables_in)
     if isinstance(bank, spec_cls):
         ps = bank
     elif type(bank) is type(f):
-        ps = fwd(bank, plan.tables_in)
+        ps = fwd(bank, tables_in)
     else:
         raise ValueError("bank and signal must live on the same domain")
     out = SO3Spectrum.zeros(plan.bandwidth_out, k_out)

@@ -18,9 +18,11 @@ Each transform has two implementations with identical results:
   alpha and gamma axes, then a per-degree contraction over colatitude rings
   against precomputed Wigner-d tables.  A sphere signal is the rotation
   grid with a single gamma sample, whose only column is ``n = 0``
-  (``Y^l_m = D^l_m0``);
-* the direct path (``*_dft_*``): explicit weighted sums of the samples
-  against the sampled basis functions, ring by ring, with no FFT anywhere.
+  (``Y^l_m = D^l_m0``), so by default it reads the n = 0 column tables
+  (``cached_tables(b, "zero")``); full tables passed in also serve;
+* the direct path (``*_dft_*``), one engine for both domains in the same
+  way: explicit weighted sums of the samples against the sampled basis
+  functions, ring by ring, with no FFT anywhere.
   For small grids this is competitive; it shares nothing with the fast path
   beyond the sampled-basis tables.
 
@@ -208,15 +210,29 @@ class SO3Spectrum(_SpectrumBase):
         return self.data[:, off : off + n * n].reshape(self.channels, n, n)
 
 
-def _resolve_tables(bandwidth: int, tables: WignerTables | None) -> WignerTables:
+def _resolve_tables(
+    bandwidth: int, tables: WignerTables | None, gammas: int
+) -> WignerTables:
+    """Tables holding exactly the columns a grid with ``gammas`` gamma
+    samples reads: n = 0 alone for one sample (the sphere), else all.  Full
+    tables given for the sphere serve through views of that column."""
+    columns = "all" if gammas > 1 else "zero"
     if tables is None:
-        return cached_tables(bandwidth)
+        return cached_tables(bandwidth, columns)
     if tables.bandwidth != bandwidth:
         raise ValueError(
             f"tables built for bandwidth {tables.bandwidth}, "
             f"data has bandwidth {bandwidth}"
         )
-    return tables
+    if tables.columns == columns:
+        return tables
+    if columns == "all":
+        raise ValueError(
+            "tables hold only the n = 0 column; rotation-group transforms "
+            "need every column"
+        )
+    d = [blk[:, :, l : l + 1] for l, blk in enumerate(tables.d)]
+    return WignerTables(bandwidth, d, tables.weights, columns)
 
 
 def _centered(center: int, half: int) -> slice:
@@ -241,6 +257,14 @@ def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ascontiguousarray(values.real), residue
 
 
+def _synthesized(values: np.ndarray, signal_cls):
+    # real signal from values (K, 2b, 2b, G); the sphere drops its G = 1 axis
+    real, residue = _realized(values)
+    if signal_cls is S2Signal:
+        real = real[..., 0]
+    return signal_cls(values.shape[1] // 2, real, imag_residue=residue)
+
+
 # ---------------------------------------------------------------------------
 # fast paths: FFT over alpha/gamma, table contraction over beta
 # ---------------------------------------------------------------------------
@@ -249,7 +273,7 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
     """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid; a sphere
     signal is the grid with a single gamma sample (G = 1)."""
     b = samples.shape[1] // 2
-    t = _resolve_tables(b, tables)
+    t = _resolve_tables(b, tables, samples.shape[3])
     # ifft2 supplies the uniform alpha/gamma averages together with
     # e^{+i(m alpha + n gamma)}; fftshift puts frequency f at index
     # f + len // 2 on each axis
@@ -263,7 +287,7 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
         # matmuls with a transposed copy of the slice per degree
         cols[:] = np.einsum(
             "jmn,kjmn->kmn",
-            t.weights[:, None, None] * t.d[l][:, :, _centered(l, c)],
+            t.weights[:, None, None] * t.d[l],
             fc[:, :, _centered(b, l), _centered(h, c)],
         )
     return out
@@ -273,9 +297,9 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto the rotation grid ``(K, 2b, 2b, G)``, with G = 1 gamma
     sample for a sphere spectrum (its single column is n = 0)."""
     b = spectrum.bandwidth
-    t = _resolve_tables(b, tables)
-    _check_spectrum(spectrum)
     gammas = 2 * b if signal_cls is SO3Signal else 1
+    t = _resolve_tables(b, tables, gammas)
+    _check_spectrum(spectrum)
     h = gammas // 2
     # centered layout: frequency f at index f + len // 2, the f = -b rows
     # left zero; ifftshift turns it into FFT layout
@@ -284,13 +308,10 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
         cols = spectrum.columns(l)
         c = cols.shape[2] // 2
         g[:, :, _centered(b, l), _centered(h, c)] += (
-            t.d[l][:, :, _centered(l, c)] * ((2 * l + 1) * cols)[:, None]
+            t.d[l] * ((2 * l + 1) * cols)[:, None]
         )
     g = np.fft.ifftshift(g, axes=(2, 3))
-    values, residue = _realized(np.fft.fft2(g, axes=(2, 3)))
-    if gammas == 1:
-        values = values[..., 0]
-    return signal_cls(b, values, imag_residue=residue)
+    return _synthesized(np.fft.fft2(g, axes=(2, 3)), signal_cls)
 
 
 def s2_fft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
@@ -313,74 +334,68 @@ def so3_fft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -
 # direct paths: dense sums against sampled basis functions, no FFT
 # ---------------------------------------------------------------------------
 
-def _dft_phases(bandwidth: int) -> np.ndarray:
-    # E[i, m+b-1] = exp(+i m alpha_i), the sampled azimuth basis
+def _dft_phases(bandwidth: int, gammas: int) -> tuple[np.ndarray, np.ndarray]:
+    # E[i, m+b-1] = exp(+i m alpha_i), the sampled azimuth basis, and its
+    # gamma counterpart; a single gamma sample carries n = 0 alone
     m = np.arange(-(bandwidth - 1), bandwidth)
-    return np.exp(1j * np.outer(angle_samples(bandwidth), m))
+    e = np.exp(1j * np.outer(angle_samples(bandwidth), m))
+    return e, e if gammas > 1 else np.ones((1, 1))
+
+
+def _dft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
+    """Analysis of samples ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
+    k, n, _, gammas = samples.shape
+    b = n // 2
+    t = _resolve_tables(b, tables, gammas)
+    e, eg = _dft_phases(b, gammas)
+    h = eg.shape[1] // 2
+    w = t.weights / (n * gammas)
+    out = spectrum_cls.zeros(b, k)
+    cols = [out.columns(l) for l in range(b)]
+    for j in range(n):
+        ring = np.einsum("im,cik,kn->cmn", e, samples[:, j], eg, optimize=True)
+        for l in range(b):
+            sn = _centered(h, cols[l].shape[2] // 2)
+            cols[l] += w[j] * t.d[l][j] * ring[:, _centered(b - 1, l), sn]
+    return out
+
+
+def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
+    """Synthesis onto ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
+    b = spectrum.bandwidth
+    gammas = 2 * b if signal_cls is SO3Signal else 1
+    t = _resolve_tables(b, tables, gammas)
+    _check_spectrum(spectrum)
+    k = spectrum.channels
+    e_conj, eg_conj = (p.conj() for p in _dft_phases(b, gammas))
+    h = eg_conj.shape[1] // 2
+    cols = [spectrum.columns(l) for l in range(b)]
+    values = np.empty((k, 2 * b, 2 * b, gammas), dtype=np.complex128)
+    for j in range(2 * b):
+        acc = np.zeros((k, 2 * b - 1, eg_conj.shape[1]), dtype=np.complex128)
+        for l in range(b):
+            sn = _centered(h, cols[l].shape[2] // 2)
+            acc[:, _centered(b - 1, l), sn] += (2 * l + 1) * t.d[l][j] * cols[l]
+        values[:, j] = np.einsum(
+            "cmn,im,kn->cik", acc, e_conj, eg_conj, optimize=True
+        )
+    return _synthesized(values, signal_cls)
 
 
 def s2_dft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
-    b = signal.bandwidth
-    t = _resolve_tables(b, tables)
-    e = _dft_phases(b)
-    w = t.weights / (2 * b)
-    out = S2Spectrum.zeros(b, signal.channels)
-    for j in range(2 * b):
-        ring = signal.samples[:, j] @ e  # (K, 2b-1), sums over the ring
-        for l in range(b):
-            sl = _centered(b - 1, l)
-            blk = out.blocks(l)
-            blk += w[j] * t.d[l][j, :, l] * ring[:, sl]
-    return out
+    return _dft_forward(signal.samples[..., None], S2Spectrum, tables)
 
 
 def s2_dft_inverse(spectrum: S2Spectrum, tables: WignerTables | None = None) -> S2Signal:
-    b = spectrum.bandwidth
-    t = _resolve_tables(b, tables)
-    _check_spectrum(spectrum)
-    k = spectrum.channels
-    e_conj = _dft_phases(b).conj()
-    values = np.empty((k, 2 * b, 2 * b), dtype=np.complex128)
-    for j in range(2 * b):
-        acc = np.zeros((k, 2 * b - 1), dtype=np.complex128)
-        for l in range(b):
-            sl = _centered(b - 1, l)
-            acc[:, sl] += (2 * l + 1) * t.d[l][j, :, l] * spectrum.blocks(l)
-        values[:, j] = acc @ e_conj.T
-    real, residue = _realized(values)
-    return S2Signal(b, real, imag_residue=residue)
+    return _dft_inverse(spectrum, S2Signal, tables)
 
 
 def so3_dft_forward(signal: SO3Signal, tables: WignerTables | None = None) -> SO3Spectrum:
-    b = signal.bandwidth
-    t = _resolve_tables(b, tables)
-    e = _dft_phases(b)
-    w = t.weights / (2 * b) ** 2
-    out = SO3Spectrum.zeros(b, signal.channels)
-    for j in range(2 * b):
-        ring = np.einsum("im,cik,kn->cmn", e, signal.samples[:, j], e, optimize=True)
-        for l in range(b):
-            sl = _centered(b - 1, l)
-            blk = out.blocks(l)
-            blk += w[j] * t.d[l][j] * ring[:, sl, sl]
-    return out
+    return _dft_forward(signal.samples, SO3Spectrum, tables)
 
 
 def so3_dft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -> SO3Signal:
-    b = spectrum.bandwidth
-    t = _resolve_tables(b, tables)
-    _check_spectrum(spectrum)
-    k = spectrum.channels
-    e_conj = _dft_phases(b).conj()
-    values = np.empty((k, 2 * b, 2 * b, 2 * b), dtype=np.complex128)
-    for j in range(2 * b):
-        acc = np.zeros((k, 2 * b - 1, 2 * b - 1), dtype=np.complex128)
-        for l in range(b):
-            sl = _centered(b - 1, l)
-            acc[:, sl, sl] += (2 * l + 1) * t.d[l][j] * spectrum.blocks(l)
-        values[:, j] = np.einsum("cmn,im,kn->cik", acc, e_conj, e_conj, optimize=True)
-    real, residue = _realized(values)
-    return SO3Signal(b, real, imag_residue=residue)
+    return _dft_inverse(spectrum, SO3Signal, tables)
 
 
 # ---------------------------------------------------------------------------

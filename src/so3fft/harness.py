@@ -273,7 +273,7 @@ def run_bench(bandwidths, kind: str = "so3", repetitions: int = 5) -> list[dict]
     records = []
     for b in bandwidths:
         validate_bandwidth(b)
-        tables = cached_tables(b)
+        tables = cached_tables(b, "zero" if kind == "s2" else "all")
         n = 2 * b
         shape = (1, n, n) if kind == "s2" else (1, n, n, n)
         rng = np.random.default_rng((2718, b))

@@ -20,11 +20,12 @@ from .grids import (
     make_s2_grid,
     make_so3_grid,
     matrix_to_euler,
+    ring_weights,
     sphere_to_cartesian,
     _y_matrix,
     _z_matrix,
 )
-from .harmonics import spherical_harmonics_stack, wigner_D_stack, wigner_d_stack
+from .harmonics import wigner_D_stack, wigner_d_stack
 
 __all__ = [
     "S2_DIRECT_BANDWIDTH_CAP",
@@ -55,83 +56,70 @@ def _require_small(bandwidth: int, cap: int, force: bool, what: str) -> None:
         )
 
 
-def s2_project_direct(signal: S2Signal) -> S2Spectrum:
-    """Coefficients by explicit weighted sums of every grid sample against
-    the sampled ``conj(Y^l_m)``."""
-    b = signal.bandwidth
-    grid = make_s2_grid(b)
-    d = wigner_d_stack(b - 1, grid.betas)
-    out = S2Spectrum.zeros(b, signal.channels)
+def _project_direct(samples: np.ndarray, spectrum_cls):
+    """Coefficients of samples ``(K, 2b, 2b, G)`` by explicit weighted sums
+    of every grid sample against the sampled ``conj(D^l_mn)``; a sphere
+    signal has a single gamma sample (G = 1), so only ``n = 0`` enters."""
+    k, n, _, gammas = samples.shape
+    b = n // 2
+    grid = make_so3_grid(b)
+    full = gammas > 1
+    d = wigner_d_stack(b - 1, grid.betas, "all" if full else "zero")
+    weights = ring_weights(b) / (n * gammas)  # with the alpha, gamma averages
+    out = spectrum_cls.zeros(b, k)
     for l in range(b):
         m = np.arange(-l, l + 1)
         ea = np.exp(1j * np.outer(m, grid.alphas))  # e^{+i m alpha_i}
-        out.blocks(l)[:] = np.einsum(
-            "j,jm,mi,kji->km",
-            grid.weights,
-            d[l][:, :, l],
-            ea,
-            signal.samples,
-            optimize=True,
+        eg = np.exp(1j * np.outer(m, grid.gammas)) if full else np.ones((1, 1))
+        out.columns(l)[:] = np.einsum(
+            "j,jmn,mi,nk,cjik->cmn", weights, d[l], ea, eg, samples, optimize=True
         )
     return out
+
+
+def s2_project_direct(signal: S2Signal) -> S2Spectrum:
+    """Coefficients by explicit weighted sums of every grid sample against
+    the sampled ``conj(Y^l_m)``."""
+    return _project_direct(signal.samples[..., None], S2Spectrum)
 
 
 def so3_project_direct(signal: SO3Signal) -> SO3Spectrum:
     """Coefficients by explicit weighted sums of every grid sample against
     the sampled ``conj(D^l_mn)``."""
-    b = signal.bandwidth
-    grid = make_so3_grid(b)
-    d = wigner_d_stack(b - 1, grid.betas)
-    out = SO3Spectrum.zeros(b, signal.channels)
-    for l in range(b):
-        m = np.arange(-l, l + 1)
-        ea = np.exp(1j * np.outer(m, grid.alphas))
-        eg = np.exp(1j * np.outer(m, grid.gammas))
-        out.blocks(l)[:] = np.einsum(
-            "j,jmn,mi,nk,cjik->cmn",
-            grid.weights,
-            d[l],
-            ea,
-            eg,
-            signal.samples,
-            optimize=True,
-        )
+    return _project_direct(signal.samples, SO3Spectrum)
+
+
+def _synthesize_at(spectrum, alphas, betas, gammas=0.0) -> np.ndarray:
+    """The synthesis sum at arbitrary rotations, complex ``(channels,
+    npoints)``; a sphere spectrum reads only ``D^l_m0``, which needs no
+    gamma."""
+    alphas = np.asarray(alphas, dtype=np.float64).ravel()
+    betas = np.asarray(betas, dtype=np.float64).ravel()
+    gammas = np.asarray(gammas, dtype=np.float64).ravel()
+    gammas = np.broadcast_to(gammas, alphas.shape)
+    columns = "zero" if isinstance(spectrum, S2Spectrum) else "all"
+    b = spectrum.bandwidth
+    out = np.zeros((spectrum.channels, alphas.size), dtype=np.complex128)
+    for start in range(0, alphas.size, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, alphas.size))
+        dd = wigner_D_stack(b - 1, alphas[sl], betas[sl], gammas[sl], columns)
+        for l in range(b):
+            out[:, sl] += (2 * l + 1) * np.einsum(
+                "kmn,pmn->kp", spectrum.columns(l), dd[l]
+            )
     return out
 
 
 def synthesize_s2_at(spectrum: S2Spectrum, alphas, betas) -> np.ndarray:
     """Evaluate the synthesis sum at arbitrary points; returns complex
     values shaped ``(channels, npoints)``."""
-    alphas = np.asarray(alphas, dtype=np.float64).ravel()
-    betas = np.asarray(betas, dtype=np.float64).ravel()
-    b = spectrum.bandwidth
-    out = np.zeros((spectrum.channels, alphas.size), dtype=np.complex128)
-    for start in range(0, alphas.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, alphas.size))
-        y = spherical_harmonics_stack(b - 1, alphas[sl], betas[sl])
-        for l in range(b):
-            out[:, sl] += (2 * l + 1) * np.einsum(
-                "km,pm->kp", spectrum.blocks(l), y[l]
-            )
-    return out
+    return _synthesize_at(spectrum, alphas, betas)
 
 
 def synthesize_so3_at(spectrum: SO3Spectrum, alphas, betas, gammas) -> np.ndarray:
     """Evaluate the synthesis sum at arbitrary rotations; returns complex
     values shaped ``(channels, npoints)``."""
-    alphas = np.asarray(alphas, dtype=np.float64).ravel()
-    betas = np.asarray(betas, dtype=np.float64).ravel()
-    gammas = np.asarray(gammas, dtype=np.float64).ravel()
-    b = spectrum.bandwidth
-    out = np.zeros((spectrum.channels, alphas.size), dtype=np.complex128)
-    for start in range(0, alphas.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, alphas.size))
-        dd = wigner_D_stack(b - 1, alphas[sl], betas[sl], gammas[sl])
-        for l in range(b):
-            out[:, sl] += (2 * l + 1) * np.einsum(
-                "kmn,pmn->kp", spectrum.blocks(l), dd[l]
-            )
-    return out
+    return _synthesize_at(spectrum, alphas, betas, gammas)
 
 
 def so3_grid_matrices(bandwidth: int) -> np.ndarray:

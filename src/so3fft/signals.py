@@ -488,6 +488,8 @@ def _object_parts(obj):
     if isinstance(obj, SO3Spectrum):
         return "so3spec", obj.bandwidth, obj.channels, [obj.data]
     if isinstance(obj, WignerTables):
+        if obj.columns != "all":
+            raise ValueError("n = 0 column tables have no container layout")
         return "wigner-tables", obj.bandwidth, 0, [obj.weights, *obj.d]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
