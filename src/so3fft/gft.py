@@ -352,8 +352,10 @@ def _dft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
     w = t.weights / (n * gammas)
     out = spectrum_cls.zeros(b, k)
     cols = [out.columns(l) for l in range(b)]
+    # the contraction order is planned once, not once per ring
+    path = np.einsum_path("im,cik,kn->cmn", e, samples[:, 0], eg, optimize=True)[0]
     for j in range(n):
-        ring = np.einsum("im,cik,kn->cmn", e, samples[:, j], eg, optimize=True)
+        ring = np.einsum("im,cik,kn->cmn", e, samples[:, j], eg, optimize=path)
         for l in range(b):
             sn = _centered(h, cols[l].shape[2] // 2)
             cols[l] += w[j] * t.d[l][j] * ring[:, _centered(b - 1, l), sn]
@@ -371,14 +373,14 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     h = eg_conj.shape[1] // 2
     cols = [spectrum.columns(l) for l in range(b)]
     values = np.empty((k, 2 * b, 2 * b, gammas), dtype=np.complex128)
+    acc = np.zeros((k, 2 * b - 1, eg_conj.shape[1]), dtype=np.complex128)
+    path = np.einsum_path("cmn,im,kn->cik", acc, e_conj, eg_conj, optimize=True)[0]
     for j in range(2 * b):
-        acc = np.zeros((k, 2 * b - 1, eg_conj.shape[1]), dtype=np.complex128)
+        acc.fill(0.0)
         for l in range(b):
             sn = _centered(h, cols[l].shape[2] // 2)
             acc[:, _centered(b - 1, l), sn] += (2 * l + 1) * t.d[l][j] * cols[l]
-        values[:, j] = np.einsum(
-            "cmn,im,kn->cik", acc, e_conj, eg_conj, optimize=True
-        )
+        values[:, j] = np.einsum("cmn,im,kn->cik", acc, e_conj, eg_conj, optimize=path)
     return _synthesized(values, signal_cls)
 
 
