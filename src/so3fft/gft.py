@@ -352,7 +352,7 @@ def _dft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
     w = t.weights / (n * gammas)
     out = spectrum_cls.zeros(b, k)
     cols = [out.columns(l) for l in range(b)]
-    # the contraction order is planned once, not once per ring
+    # planned once: re-planning the contraction per ring dominates small grids
     path = np.einsum_path("im,cik,kn->cmn", e, samples[:, 0], eg, optimize=True)[0]
     for j in range(n):
         ring = np.einsum("im,cik,kn->cmn", e, samples[:, j], eg, optimize=path)
