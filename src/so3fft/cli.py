@@ -8,6 +8,7 @@ to standard output, diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -17,24 +18,13 @@ from .correlation import (
     rotate_s2_spectral,
     rotate_so3_spectral,
 )
-from .gft import (
-    GuardError,
-    S2Signal,
-    S2Spectrum,
-    SO3Signal,
-    SO3Spectrum,
-    s2_dft_forward,
-    s2_dft_inverse,
-    s2_fft_forward,
-    s2_fft_inverse,
-    so3_dft_forward,
-    so3_dft_inverse,
-    so3_fft_forward,
-    so3_fft_inverse,
-)
-from .grids import Rotation
+from .gft import GuardError, S2Signal, S2Spectrum, SO3Signal, SO3Spectrum
+from .grids import Rotation, validate_bandwidth
 from .harness import (
+    _SIGNAL_TYPES,
+    _TRANSFORMS,
     EquivarianceConfig,
+    _write_jsonl,
     run_bench,
     run_equivariance,
     write_reports_csv,
@@ -66,13 +56,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bandwidth_arg(text: str) -> int:
+    # text that is not an integer goes on as text, for validate_bandwidth
+    # to reject with its own message
+    with contextlib.suppress(ValueError):
+        text = int(text)
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bandwidth must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"bandwidth must be >= 1, got {value}")
-    return value
+        return validate_bandwidth(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _bandwidth_list_arg(text: str) -> list[int]:
@@ -82,18 +73,6 @@ def _bandwidth_list_arg(text: str) -> list[int]:
     return [_bandwidth_arg(p.strip()) for p in parts]
 
 
-_TRANSFORMS = {
-    ("s2", "forward", "fast"): s2_fft_forward,
-    ("s2", "forward", "direct"): s2_dft_forward,
-    ("s2", "inverse", "fast"): s2_fft_inverse,
-    ("s2", "inverse", "direct"): s2_dft_inverse,
-    ("so3", "forward", "fast"): so3_fft_forward,
-    ("so3", "forward", "direct"): so3_dft_forward,
-    ("so3", "inverse", "fast"): so3_fft_inverse,
-    ("so3", "inverse", "direct"): so3_dft_inverse,
-}
-
-_SIGNAL_TYPES = {"s2": S2Signal, "so3": SO3Signal}
 _SPECTRUM_TYPES = {"s2": S2Spectrum, "so3": SO3Spectrum}
 
 
@@ -141,7 +120,8 @@ def _cmd_correlate(args) -> int:
     print(
         f"correlated {bank.channels}-channel bank with "
         f"{signal.channels}-channel signal -> {args.output} "
-        f"(b={out.bandwidth}, channels={out.channels})"
+        f"(b={out.bandwidth}, channels={out.channels}) "
+        f"imag_residue={out.imag_residue:.3e}"
     )
     return 0
 
@@ -157,10 +137,12 @@ def _cmd_rotate(args) -> int:
         raise ValueError(
             f"{args.input} holds {type(obj).__name__}; rotate needs a signal"
         )
-    write_container(args.output, fn(obj, rotation))
+    out = fn(obj, rotation)
+    write_container(args.output, out)
     print(
         f"rotated by (alpha={rotation.alpha:.6g}, beta={rotation.beta:.6g}, "
-        f"gamma={rotation.gamma:.6g}) via {args.method} -> {args.output}"
+        f"gamma={rotation.gamma:.6g}) via {args.method} -> {args.output} "
+        f"imag_residue={out.imag_residue:.3e}"
     )
     return 0
 
@@ -170,7 +152,7 @@ def _cmd_equivariance(args) -> int:
         bandwidth=args.bandwidth,
         layers=args.layers,
         channels=args.channels,
-        trials=500 if args.full_scale else args.trials,
+        trials=args.trials,
         with_relu=args.relu,
         rotation_source=args.rotation,
         seed=args.seed,
@@ -192,20 +174,13 @@ def _cmd_equivariance(args) -> int:
 def _cmd_bench(args) -> int:
     records = run_bench(args.bandwidths, args.kind, args.repetitions)
     for record in records:
-        if record.get("note"):
-            line = f"{record['kind']:>3} b={record['bandwidth']:<3} {record['op']:<7} {record['path']:<6} {record['note']}"
-        else:
-            line = (
-                f"{record['kind']:>3} b={record['bandwidth']:<3} "
-                f"{record['op']:<7} {record['path']:<6} "
-                f"{record['seconds'] * 1e3:10.3f} ms"
-            )
-        print(line)
+        timing = record.get("note") or f"{record['seconds'] * 1e3:10.3f} ms"
+        print(
+            f"{record['kind']:>3} b={record['bandwidth']:<3} "
+            f"{record['op']:<7} {record['path']:<6} {timing}"
+        )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
+        _write_jsonl(records, args.output)
     return 0
 
 
@@ -239,22 +214,13 @@ def _cmd_info(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"worker cap for trial loops (0 = auto; default from ${THREADS_ENV})",
-    )
-
     parser = _Parser(
         prog="so3fft",
         description="Harmonic analysis and correlation on the sphere and rotation group.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("transform", parents=[common], help="run a transform on a container")
+    p = sub.add_parser("transform", help="run a transform on a container")
     p.add_argument("--kind", choices=["s2", "so3"], required=True)
     p.add_argument("--dir", dest="direction", choices=["forward", "inverse"], required=True)
     p.add_argument("--path", choices=["fast", "direct"], default="fast")
@@ -262,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("correlate", parents=[common], help="correlate a filter bank with a signal")
+    p = sub.add_parser("correlate", help="correlate a filter bank with a signal")
     p.add_argument("--kind", choices=["s2", "so3"], required=True)
     p.add_argument("--filter", required=True, help="filter bank container")
     p.add_argument("--signal", required=True, help="signal container")
@@ -271,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-channels", type=int, default=None)
     p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("rotate", parents=[common], help="rotate a signal container")
+    p = sub.add_parser("rotate", help="rotate a signal container")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -280,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["spectral", "resampling"], default="spectral")
     p.set_defaults(func=_cmd_rotate)
 
-    p = sub.add_parser("equivariance", parents=[common], help="rotate-vs-apply drift experiment")
+    p = sub.add_parser("equivariance", help="rotate-vs-apply drift experiment")
     p.add_argument("--bandwidth", type=_bandwidth_arg, required=True)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--channels", type=int, default=10)
@@ -288,25 +254,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relu", action="store_true")
     p.add_argument("--rotation", choices=["spectral", "resampling"], default="spectral")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--full-scale", action="store_true", help="run the full 500-trial protocol")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        metavar="N",
+        help=f"worker cap for trial loops (0 = auto; default from ${THREADS_ENV})",
+    )
     p.add_argument("--output", default=None, help="JSONL report path")
     p.add_argument("--csv", default=None, help="CSV report path")
     p.set_defaults(func=_cmd_equivariance)
 
-    p = sub.add_parser("bench", parents=[common], help="time fast vs. direct transforms")
+    p = sub.add_parser("bench", help="time fast vs. direct transforms")
     p.add_argument("--kind", choices=["s2", "so3"], default="so3")
     p.add_argument("--bandwidths", type=_bandwidth_list_arg, default=[2, 4, 8])
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--output", default=None, help="JSONL records path")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("project-image", parents=[common], help="stereographic image projection")
+    p = sub.add_parser("project-image", help="stereographic image projection")
     p.add_argument("--image", required=True, help="P2/P5 graymap")
     p.add_argument("--bandwidth", type=_bandwidth_arg, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_project_image)
 
-    p = sub.add_parser("project-molecule", parents=[common], help="per-charge potential channels")
+    p = sub.add_parser("project-molecule", help="per-charge potential channels")
     p.add_argument("--molecule", required=True, help="text file, 'charge x y z' per line")
     p.add_argument("--center", type=int, default=0)
     p.add_argument("--bandwidth", type=_bandwidth_arg, default=10)
@@ -314,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_project_molecule)
 
-    p = sub.add_parser("info", parents=[common], help="dump a container header")
+    p = sub.add_parser("info", help="dump a container header")
     p.add_argument("file")
     p.set_defaults(func=_cmd_info)
 

@@ -111,74 +111,61 @@ def cartesian_to_sphere(xyz) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class S2Grid:
-    """Equiangular 2b x 2b sphere grid; ``weights[j]`` is the per-sample
-    quadrature weight shared by every sample on colatitude ring ``j``."""
+class _Grid:
+    """Equiangular grid with 2b samples per axis, ``[beta, alpha, ...]``;
+    ``weights[j]`` is the per-sample quadrature weight shared by every
+    sample on colatitude ring ``j``.  Subclasses differ only in their
+    number of axes, ``_axes``."""
 
     bandwidth: int
     alphas: np.ndarray
     betas: np.ndarray
     weights: np.ndarray
 
+    @classmethod
+    def _make(cls, bandwidth: int):
+        b = validate_bandwidth(bandwidth)
+        weights = ring_weights(b) / (2 * b) ** (cls._axes - 1)
+        return cls(b, angle_samples(b), beta_samples(b), weights)
+
     @property
-    def shape(self) -> tuple[int, int]:
-        n = 2 * self.bandwidth
-        return (n, n)
+    def shape(self) -> tuple[int, ...]:
+        return (2 * self.bandwidth,) * self._axes
 
     def integrate(self, samples: np.ndarray) -> np.ndarray:
-        """Quadrature over the sphere; last two axes must be (beta, alpha)."""
+        """Quadrature over the grid's trailing axes, (beta, alpha[, gamma])."""
         samples = np.asarray(samples)
-        if samples.shape[-2:] != self.shape:
+        if samples.shape[-self._axes :] != self.shape:
             raise ValueError(
                 f"expected trailing shape {self.shape}, got {samples.shape}"
             )
-        return np.einsum("...ja,j->...", samples, self.weights)
+        axes = [..., *range(self._axes)]
+        return np.einsum(samples, axes, self.weights, [0], [...])
 
 
-@dataclass(frozen=True)
-class SO3Grid:
-    """Equiangular 2b x 2b x 2b rotation grid over (beta, alpha, gamma)."""
+class S2Grid(_Grid):
+    """Equiangular 2b x 2b sphere grid over (beta, alpha)."""
 
-    bandwidth: int
-    alphas: np.ndarray
-    betas: np.ndarray
-    gammas: np.ndarray
-    weights: np.ndarray
+    _axes = 2
+
+
+class SO3Grid(_Grid):
+    """Equiangular 2b x 2b x 2b rotation grid over (beta, alpha, gamma);
+    the gamma samples are the alpha samples."""
+
+    _axes = 3
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        n = 2 * self.bandwidth
-        return (n, n, n)
-
-    def integrate(self, samples: np.ndarray) -> np.ndarray:
-        """Haar quadrature; last three axes must be (beta, alpha, gamma)."""
-        samples = np.asarray(samples)
-        if samples.shape[-3:] != self.shape:
-            raise ValueError(
-                f"expected trailing shape {self.shape}, got {samples.shape}"
-            )
-        return np.einsum("...jag,j->...", samples, self.weights)
+    def gammas(self) -> np.ndarray:
+        return self.alphas
 
 
 def make_s2_grid(bandwidth: int) -> S2Grid:
-    b = validate_bandwidth(bandwidth)
-    return S2Grid(
-        bandwidth=b,
-        alphas=angle_samples(b),
-        betas=beta_samples(b),
-        weights=ring_weights(b) / (2 * b),
-    )
+    return S2Grid._make(bandwidth)
 
 
 def make_so3_grid(bandwidth: int) -> SO3Grid:
-    b = validate_bandwidth(bandwidth)
-    return SO3Grid(
-        bandwidth=b,
-        alphas=angle_samples(b),
-        betas=beta_samples(b),
-        gammas=angle_samples(b),
-        weights=ring_weights(b) / (2 * b) ** 2,
-    )
+    return SO3Grid._make(bandwidth)
 
 
 def _canonical_angles(alpha: float, beta: float, gamma: float):

@@ -66,6 +66,21 @@ DIRECT_BENCH_CAPS = {"s2": 64, "so3": 32}
 _ROTATION_SOURCES = ("spectral", "resampling")
 _STD_FLOOR = 1e-30
 
+# (kind, direction, path) -> public transform.  The CLI dispatches through
+# this same dict and run_bench looks its functions up at call time, so
+# rebinding a value (as perfbench's tracer does) reaches both.
+_TRANSFORMS = {
+    ("s2", "forward", "fast"): s2_fft_forward,
+    ("s2", "forward", "direct"): s2_dft_forward,
+    ("s2", "inverse", "fast"): s2_fft_inverse,
+    ("s2", "inverse", "direct"): s2_dft_inverse,
+    ("so3", "forward", "fast"): so3_fft_forward,
+    ("so3", "forward", "direct"): so3_dft_forward,
+    ("so3", "inverse", "fast"): so3_fft_inverse,
+    ("so3", "inverse", "direct"): so3_dft_inverse,
+}
+_SIGNAL_TYPES = {"s2": S2Signal, "so3": SO3Signal}
+
 
 @dataclass(frozen=True)
 class EquivarianceConfig:
@@ -222,12 +237,16 @@ def run_equivariance(
     )
 
 
+def _write_jsonl(records, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True))
+            fh.write("\n")
+
+
 def write_reports_jsonl(reports, path) -> None:
     """One JSON record per line, one line per report."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(report.to_record(), sort_keys=True))
-            fh.write("\n")
+    _write_jsonl((report.to_record() for report in reports), path)
 
 
 def write_reports_csv(reports, path) -> None:
@@ -262,44 +281,29 @@ def run_bench(bandwidths, kind: str = "so3", repetitions: int = 5) -> list[dict]
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
-    if kind == "s2":
-        fast_fwd, fast_inv = s2_fft_forward, s2_fft_inverse
-        direct_fwd, direct_inv = s2_dft_forward, s2_dft_inverse
-    else:
-        fast_fwd, fast_inv = so3_fft_forward, so3_fft_inverse
-        direct_fwd, direct_inv = so3_dft_forward, so3_dft_inverse
     cap = DIRECT_BENCH_CAPS[kind]
-
+    signal_cls = _SIGNAL_TYPES[kind]
     records = []
     for b in bandwidths:
         validate_bandwidth(b)
         tables = cached_tables(b, "zero" if kind == "s2" else "all")
-        n = 2 * b
-        shape = (1, n, n) if kind == "s2" else (1, n, n, n)
         rng = np.random.default_rng((2718, b))
-        sig = (S2Signal if kind == "s2" else SO3Signal)(
-            b, rng.standard_normal(shape)
-        )
-        spec = fast_fwd(sig, tables)
-
-        plans = [
-            ("forward", "fast", lambda: fast_fwd(sig, tables), False),
-            ("inverse", "fast", lambda: fast_inv(spec, tables), False),
-            ("forward", "direct", lambda: direct_fwd(sig, tables), b > cap),
-            ("inverse", "direct", lambda: direct_inv(spec, tables), b > cap),
-        ]
-        for op, path, fn, skipped in plans:
-            record = {
-                "kind": kind,
-                "bandwidth": b,
-                "op": op,
-                "path": path,
-                "repetitions": repetitions,
-            }
-            if skipped:
-                record["seconds"] = None
-                record["note"] = f"skipped: direct path capped at bandwidth {cap}"
-            else:
-                record["seconds"] = _median_seconds(fn, repetitions)
-            records.append(record)
+        sig = signal_cls(b, rng.standard_normal((1,) + (2 * b,) * signal_cls._axes))
+        spec = _TRANSFORMS[(kind, "forward", "fast")](sig, tables)
+        for path in ("fast", "direct"):
+            for op, arg in (("forward", sig), ("inverse", spec)):
+                record = {
+                    "kind": kind,
+                    "bandwidth": b,
+                    "op": op,
+                    "path": path,
+                    "repetitions": repetitions,
+                }
+                if path == "direct" and b > cap:
+                    record["seconds"] = None
+                    record["note"] = f"skipped: direct path capped at bandwidth {cap}"
+                else:
+                    fn = _TRANSFORMS[(kind, op, path)]
+                    record["seconds"] = _median_seconds(lambda: fn(arg, tables), repetitions)
+                records.append(record)
     return records

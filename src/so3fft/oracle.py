@@ -141,8 +141,8 @@ def rotate_s2_by_resampling(signal: S2Signal, rotation: Rotation) -> S2Signal:
     av, bv = np.meshgrid(grid.alphas, grid.betas)  # (beta, alpha) layout
     points = sphere_to_cartesian(av, bv) @ rotation.matrix  # R^-1 x = R^T x
     alphas, betas = cartesian_to_sphere(points)
-    values, _ = _realized(synthesize_s2_at(spec, alphas, betas))
-    return S2Signal(b, values.reshape(signal.samples.shape))
+    values, residue = _realized(synthesize_s2_at(spec, alphas, betas))
+    return S2Signal(b, values.reshape(signal.samples.shape), imag_residue=residue)
 
 
 def rotate_so3_by_resampling(signal: SO3Signal, rotation: Rotation) -> SO3Signal:
@@ -151,8 +151,8 @@ def rotate_so3_by_resampling(signal: SO3Signal, rotation: Rotation) -> SO3Signal
     spec = so3_project_direct(signal)
     mats = np.einsum("ab,jikbc->jikac", rotation.matrix.T, so3_grid_matrices(b))
     alphas, betas, gammas = matrix_to_euler(mats.reshape(-1, 3, 3))
-    values, _ = _realized(synthesize_so3_at(spec, alphas, betas, gammas))
-    return SO3Signal(b, values.reshape(signal.samples.shape))
+    values, residue = _realized(synthesize_so3_at(spec, alphas, betas, gammas))
+    return SO3Signal(b, values.reshape(signal.samples.shape), imag_residue=residue)
 
 
 def s2_correlate_direct(

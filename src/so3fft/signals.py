@@ -25,7 +25,6 @@ from .gft import (
     S2Spectrum,
     SO3Signal,
     SO3Spectrum,
-    s2_coefficient_count,
     so3_coefficient_count,
 )
 from .grids import make_s2_grid, sphere_to_cartesian, validate_bandwidth
@@ -450,60 +449,58 @@ class ChecksumError(ContainerError):
 _MAGIC = b"SSF1"
 _VERSION = 1
 
-_LAYOUTS = {
-    "s2": "channel-beta-alpha",
-    "so3": "channel-beta-alpha-gamma",
-    "s2spec": "channel-major degree-ascending blocks, re/im interleaved",
-    "so3spec": "channel-major degree-ascending blocks, re/im interleaved",
-    "wigner-tables": "ring weights then degree-ascending d blocks",
+_SPECTRUM_LAYOUT = "channel-major degree-ascending blocks, re/im interleaved"
+
+# container type -> (object type, payload dtype, layout); an "f64" signal
+# payload is its samples, a "c128" one a spectrum's coefficients
+_KINDS = {
+    "s2": (S2Signal, "f64", "channel-beta-alpha"),
+    "so3": (SO3Signal, "f64", "channel-beta-alpha-gamma"),
+    "s2spec": (S2Spectrum, "c128", _SPECTRUM_LAYOUT),
+    "so3spec": (SO3Spectrum, "c128", _SPECTRUM_LAYOUT),
+    "wigner-tables": (WignerTables, "f64", "ring weights then degree-ascending d blocks"),
 }
+_ELEMENTS = {"f64": np.dtype("<f8"), "c128": np.dtype("<c16")}
 
 
 def _payload_spec(kind: str, bandwidth: int, channels: int):
-    """(dtype string, element count) for each container type."""
+    """(object type, dtype string, payload shape) for each container type."""
+    if kind not in _KINDS:
+        raise ContainerError(f"unknown container type {kind!r}")
+    cls, dtype, _ = _KINDS[kind]
     n = 2 * bandwidth
-    if kind == "s2":
-        return "f64", channels * n * n
-    if kind == "so3":
-        return "f64", channels * n * n * n
-    if kind == "s2spec":
-        return "c128", channels * s2_coefficient_count(bandwidth)
-    if kind == "so3spec":
-        return "c128", channels * so3_coefficient_count(bandwidth)
-    if kind == "wigner-tables":
+    if cls is WignerTables:
         # the ring weights, then one (2l+1)^2 block per ring and degree
-        return "f64", n * (1 + so3_coefficient_count(bandwidth))
-    raise ContainerError(f"unknown container type {kind!r}")
+        return cls, dtype, (n * (1 + so3_coefficient_count(bandwidth)),)
+    if dtype == "f64":
+        return cls, dtype, (channels,) + (n,) * cls._axes
+    return cls, dtype, (channels, cls._count(bandwidth))
 
 
 def _object_parts(obj):
     """(kind, bandwidth, channels, arrays): the payload is the arrays'
     elements in order."""
-    if isinstance(obj, S2Signal):
-        return "s2", obj.bandwidth, obj.channels, [obj.samples]
-    if isinstance(obj, SO3Signal):
-        return "so3", obj.bandwidth, obj.channels, [obj.samples]
-    if isinstance(obj, S2Spectrum):
-        return "s2spec", obj.bandwidth, obj.channels, [obj.data]
-    if isinstance(obj, SO3Spectrum):
-        return "so3spec", obj.bandwidth, obj.channels, [obj.data]
     if isinstance(obj, WignerTables):
         if obj.columns != "all":
             raise ValueError("n = 0 column tables have no container layout")
         return "wigner-tables", obj.bandwidth, 0, [obj.weights, *obj.d]
+    for kind, (cls, dtype, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            array = obj.samples if dtype == "f64" else obj.data
+            return kind, obj.bandwidth, obj.channels, [array]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_container(path, obj) -> None:
     """Serialize a signal, spectrum, or table set; see read_container."""
     kind, bandwidth, channels, arrays = _object_parts(obj)
-    dtype, count = _payload_spec(kind, bandwidth, channels)
-    element = np.dtype("<f8" if dtype == "f64" else "<c16")
+    _, dtype, shape = _payload_spec(kind, bandwidth, channels)
+    element = _ELEMENTS[dtype]
     parts = [
         np.ascontiguousarray(array, dtype=element).reshape(-1).view(np.uint8)
         for array in arrays
     ]
-    assert sum(part.size for part in parts) == count * element.itemsize
+    assert sum(part.size for part in parts) == math.prod(shape) * element.itemsize
 
     header = json.dumps(
         {
@@ -511,7 +508,7 @@ def write_container(path, obj) -> None:
             "bandwidth": bandwidth,
             "channels": channels,
             "dtype": dtype,
-            "layout": _LAYOUTS[kind],
+            "layout": _KINDS[kind][2],
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -569,13 +566,13 @@ def read_container(path):
             raise ContainerError(f"{path}: bad bandwidth {bandwidth!r}")
         if not isinstance(channels, int) or channels < 0:
             raise ContainerError(f"{path}: bad channel count {channels!r}")
-        dtype, count = _payload_spec(kind, bandwidth, channels)
+        cls, dtype, shape = _payload_spec(kind, bandwidth, channels)
         if header["dtype"] != dtype:
             raise ContainerError(
                 f"{path}: dtype {header['dtype']!r} does not match type {kind!r}"
             )
-        flat_dtype = np.dtype("<f8" if dtype == "f64" else "<c16")
-        size = count * flat_dtype.itemsize
+        count = math.prod(shape)
+        size = count * _ELEMENTS[dtype].itemsize
 
         # sizes are checked against the file before the payload is
         # allocated, so a header claiming a huge object fails cheaply
@@ -587,7 +584,7 @@ def read_container(path):
         if file_size > offset + size + 8:
             raise ContainerError(f"{path}: trailing bytes after checksum")
         # the payload is read once, straight into the returned arrays
-        flat = np.empty(count, dtype=flat_dtype)
+        flat = np.empty(count, dtype=_ELEMENTS[dtype])
         got = fh.readinto(flat.view(np.uint8))
         tail = fh.read(8)
     if got != size or len(tail) != 8:
@@ -599,19 +596,9 @@ def read_container(path):
             f"{path}: checksum {actual:#018x} != stored {stored:#018x}"
         )
 
+    if cls is not WignerTables:
+        return cls(bandwidth, flat.reshape(shape))
     n = 2 * bandwidth
-    if kind == "s2":
-        return S2Signal(bandwidth, flat.reshape(channels, n, n))
-    if kind == "so3":
-        return SO3Signal(bandwidth, flat.reshape(channels, n, n, n))
-    if kind == "s2spec":
-        return S2Spectrum(
-            bandwidth, flat.reshape(channels, s2_coefficient_count(bandwidth))
-        )
-    if kind == "so3spec":
-        return SO3Spectrum(
-            bandwidth, flat.reshape(channels, so3_coefficient_count(bandwidth))
-        )
     # the table blocks are views of the one payload buffer
     blocks = []
     pos = n
