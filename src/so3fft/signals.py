@@ -451,8 +451,9 @@ _VERSION = 1
 
 _SPECTRUM_LAYOUT = "channel-major degree-ascending blocks, re/im interleaved"
 
-# container type -> (object type, payload dtype, layout); an "f64" signal
-# payload is its samples, a "c128" one a spectrum's coefficients
+# container type -> (object type, payload dtype, layout).  Apart from the
+# tables, an "f64" payload is a signal's samples and a "c128" payload a
+# spectrum's coefficients.
 _KINDS = {
     "s2": (S2Signal, "f64", "channel-beta-alpha"),
     "so3": (SO3Signal, "f64", "channel-beta-alpha-gamma"),
