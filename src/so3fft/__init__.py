@@ -10,144 +10,24 @@ The package is organized bottom-up:
 - :mod:`so3fft.harness` - equivariance experiment and benchmarks
 - :mod:`so3fft.signals` - image/molecule ingestion and the SSF1 container
 - :mod:`so3fft.cli` - the ``so3fft`` command
+
+Public in a module means public in the package: ``__all__`` is the
+concatenation of the six library modules' ``__all__``.  The oracle and the
+CLI stay out.
 """
 
-from .correlation import (
-    CorrelationPlan,
-    dh_convolve,
-    make_correlation_plan,
-    multichannel_correlate,
-    relu_spatial,
-    rotate_s2_spectral,
-    rotate_s2_spectrum,
-    rotate_so3_spectral,
-    rotate_so3_spectrum,
-    s2_correlate,
-    so3_correlate,
-    so3_integrate,
-    so3_max_pool,
-)
-from .gft import (
-    GuardError,
-    S2Signal,
-    S2Spectrum,
-    SO3Signal,
-    SO3Spectrum,
-    bandlimit_s2,
-    bandlimit_so3,
-    lift_s2_to_so3,
-    s2_coefficient_count,
-    s2_dft_forward,
-    s2_dft_inverse,
-    s2_fft_forward,
-    s2_fft_inverse,
-    so3_coefficient_count,
-    so3_dft_forward,
-    so3_dft_inverse,
-    so3_fft_forward,
-    so3_fft_inverse,
-)
-from .grids import (
-    Rotation,
-    S2Grid,
-    SO3Grid,
-    compose,
-    inverse,
-    make_s2_grid,
-    make_so3_grid,
-    random_rotation,
-    ring_weights,
-    validate_bandwidth,
-)
-from .harmonics import (
-    ResourceLimitError,
-    WignerTables,
-    build_tables,
-    cached_tables,
-    spherical_harmonics,
-    wigner_D_matrices,
-    wigner_d_matrices,
-)
-from .harness import (
-    EquivarianceConfig,
-    EquivarianceReport,
-    run_bench,
-    run_equivariance,
-)
-from .signals import (
-    ContainerError,
-    MoleculeSpec,
-    PlanarImage,
-    molecule_channels,
-    project_image,
-    read_container,
-    read_molecule,
-    read_pgm,
-    write_container,
-)
+from . import correlation, gft, grids, harmonics, harness, signals
+from .correlation import *  # noqa: F403
+from .gft import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .harmonics import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .signals import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationPlan",
-    "ContainerError",
-    "EquivarianceConfig",
-    "EquivarianceReport",
-    "GuardError",
-    "MoleculeSpec",
-    "PlanarImage",
-    "ResourceLimitError",
-    "Rotation",
-    "S2Grid",
-    "S2Signal",
-    "S2Spectrum",
-    "SO3Grid",
-    "SO3Signal",
-    "SO3Spectrum",
-    "WignerTables",
-    "bandlimit_s2",
-    "bandlimit_so3",
-    "build_tables",
-    "cached_tables",
-    "compose",
-    "dh_convolve",
-    "inverse",
-    "lift_s2_to_so3",
-    "make_correlation_plan",
-    "make_s2_grid",
-    "make_so3_grid",
-    "molecule_channels",
-    "multichannel_correlate",
-    "project_image",
-    "random_rotation",
-    "read_container",
-    "read_molecule",
-    "read_pgm",
-    "relu_spatial",
-    "ring_weights",
-    "rotate_s2_spectral",
-    "rotate_s2_spectrum",
-    "rotate_so3_spectral",
-    "rotate_so3_spectrum",
-    "run_bench",
-    "run_equivariance",
-    "s2_coefficient_count",
-    "s2_correlate",
-    "s2_dft_forward",
-    "s2_dft_inverse",
-    "s2_fft_forward",
-    "s2_fft_inverse",
-    "so3_coefficient_count",
-    "so3_correlate",
-    "so3_dft_forward",
-    "so3_dft_inverse",
-    "so3_fft_forward",
-    "so3_fft_inverse",
-    "so3_integrate",
-    "so3_max_pool",
-    "spherical_harmonics",
-    "validate_bandwidth",
-    "wigner_D_matrices",
-    "wigner_d_matrices",
-    "write_container",
+    name
+    for module in (correlation, gft, grids, harmonics, harness, signals)
+    for name in module.__all__
 ]

@@ -18,15 +18,13 @@ from .correlation import (
     rotate_s2_spectral,
     rotate_so3_spectral,
 )
-from .gft import GuardError, S2Signal, S2Spectrum, SO3Signal, SO3Spectrum
+from .gft import _KIND_TYPES, _TRANSFORMS, GuardError, S2Signal, SO3Signal
 from .grids import Rotation, validate_bandwidth
 from .harness import (
-    _SIGNAL_TYPES,
-    _TRANSFORMS,
     EquivarianceConfig,
-    _write_jsonl,
     run_bench,
     run_equivariance,
+    write_records_jsonl,
     write_reports_csv,
     write_reports_jsonl,
 )
@@ -66,6 +64,23 @@ def _bandwidth_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count_arg(minimum: int):
+    """argparse type for an integer count of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _bandwidth_list_arg(text: str) -> list[int]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
@@ -73,16 +88,10 @@ def _bandwidth_list_arg(text: str) -> list[int]:
     return [_bandwidth_arg(p.strip()) for p in parts]
 
 
-_SPECTRUM_TYPES = {"s2": S2Spectrum, "so3": SO3Spectrum}
-
-
 def _cmd_transform(args) -> int:
     obj = read_container(args.input)
-    wanted = (
-        _SIGNAL_TYPES[args.kind]
-        if args.direction == "forward"
-        else _SPECTRUM_TYPES[args.kind]
-    )
+    signal_cls, spectrum_cls = _KIND_TYPES[args.kind]
+    wanted = signal_cls if args.direction == "forward" else spectrum_cls
     if not isinstance(obj, wanted):
         raise ValueError(
             f"{args.input} holds {type(obj).__name__}, but --kind {args.kind} "
@@ -103,7 +112,7 @@ def _cmd_transform(args) -> int:
 def _cmd_correlate(args) -> int:
     bank = read_container(args.filter)
     signal = read_container(args.signal)
-    wanted = _SIGNAL_TYPES[args.kind]
+    wanted = _KIND_TYPES[args.kind][0]
     for name, obj in (("filter", bank), ("signal", signal)):
         if not isinstance(obj, wanted):
             raise ValueError(
@@ -180,7 +189,7 @@ def _cmd_bench(args) -> int:
             f"{record['op']:<7} {record['path']:<6} {timing}"
         )
     if args.output:
-        _write_jsonl(records, args.output)
+        write_records_jsonl(records, args.output)
     return 0
 
 
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True, help="signal container")
     p.add_argument("--output", required=True)
     p.add_argument("--bandwidth-out", type=_bandwidth_arg, default=None)
-    p.add_argument("--out-channels", type=int, default=None)
+    p.add_argument("--out-channels", type=_count_arg(1), default=None)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("rotate", help="rotate a signal container")
@@ -248,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivariance", help="rotate-vs-apply drift experiment")
     p.add_argument("--bandwidth", type=_bandwidth_arg, required=True)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--channels", type=int, default=10)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--layers", type=_count_arg(1), default=1)
+    p.add_argument("--channels", type=_count_arg(1), default=10)
+    p.add_argument("--trials", type=_count_arg(1), default=20)
     p.add_argument("--relu", action="store_true")
     p.add_argument("--rotation", choices=["spectral", "resampling"], default="spectral")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--threads",
-        type=int,
+        type=_count_arg(0),
         default=None,
         metavar="N",
         help=f"worker cap for trial loops (0 = auto; default from ${THREADS_ENV})",
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time fast vs. direct transforms")
     p.add_argument("--kind", choices=["s2", "so3"], default="so3")
     p.add_argument("--bandwidths", type=_bandwidth_list_arg, default=[2, 4, 8])
-    p.add_argument("--repetitions", type=int, default=5)
+    p.add_argument("--repetitions", type=_count_arg(1), default=5)
     p.add_argument("--output", default=None, help="JSONL records path")
     p.set_defaults(func=_cmd_bench)
 

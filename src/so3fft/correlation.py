@@ -111,6 +111,8 @@ def _split_bank(bank, k_in: int, out_channels: int | None) -> int:
                 f"signal's {k_in}"
             )
         return bank.channels // k_in
+    if out_channels < 1:
+        raise ValueError(f"out_channels must be >= 1, got {out_channels}")
     if bank.channels != out_channels * k_in:
         raise ValueError(
             f"bank has {bank.channels} channels, expected "

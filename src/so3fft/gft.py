@@ -83,6 +83,21 @@ def so3_coefficient_count(bandwidth: int) -> int:
     return b * (2 * b - 1) * (2 * b + 1) // 3
 
 
+def _channel_array(values, dtype, trailing: tuple, name: str) -> np.ndarray:
+    """``values`` as a contiguous ``(channels,) + trailing`` array of
+    ``dtype`` with at least one channel; a missing channel axis is added."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim == len(trailing):
+        arr = arr[None]
+    if arr.ndim != len(trailing) + 1 or arr.shape[1:] != trailing:
+        raise ValueError(
+            f"expected {name} shaped (channels,) + {trailing}, got {arr.shape}"
+        )
+    if arr.shape[0] < 1:
+        raise ValueError(f"{name} must hold at least one channel")
+    return np.ascontiguousarray(arr)
+
+
 @dataclass(eq=False)
 class _GridSignal:
     """Real samples on a ``2b``-per-axis grid, ``[channel, beta, alpha, ...]``;
@@ -94,19 +109,10 @@ class _GridSignal:
 
     def __post_init__(self):
         b = validate_bandwidth(self.bandwidth)
-        trailing = (2 * b,) * self._axes
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim == len(trailing):
-            arr = arr[None]
-        if arr.ndim != len(trailing) + 1 or arr.shape[1:] != trailing:
-            raise ValueError(
-                f"expected samples shaped (channels,) + {trailing}, got {arr.shape}"
-            )
-        if arr.shape[0] < 1:
-            raise ValueError("signal needs at least one channel")
+        arr = _channel_array(self.samples, np.float64, (2 * b,) * self._axes, "samples")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples contain non-finite values")
-        self.samples = np.ascontiguousarray(arr)
+        self.samples = arr
 
     @property
     def channels(self) -> int:
@@ -131,18 +137,8 @@ class _SpectrumBase:
 
     def __init__(self, bandwidth: int, data: np.ndarray):
         b = validate_bandwidth(bandwidth)
-        data = np.asarray(data, dtype=np.complex128)
-        count = self._count(b)
-        if data.ndim == 1:
-            data = data[None]
-        if data.ndim != 2 or data.shape[1] != count:
-            raise ValueError(
-                f"expected data shaped (channels, {count}), got {data.shape}"
-            )
-        if data.shape[0] < 1:
-            raise ValueError("spectrum needs at least one channel")
         self.bandwidth = b
-        self.data = np.ascontiguousarray(data)
+        self.data = _channel_array(data, np.complex128, (self._count(b),), "data")
 
     @property
     def channels(self) -> int:
@@ -395,6 +391,22 @@ def so3_dft_forward(signal: SO3Signal, tables: WignerTables | None = None) -> SO
 
 def so3_dft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -> SO3Signal:
     return _dft_inverse(spectrum, SO3Signal, tables)
+
+
+# kind -> (signal type, spectrum type), and (kind, direction, path) -> public
+# transform.  The CLI and run_bench dispatch through these same dicts, so
+# rebinding a value in place (as perfbench's tracer does) reaches both.
+_KIND_TYPES = {"s2": (S2Signal, S2Spectrum), "so3": (SO3Signal, SO3Spectrum)}
+_TRANSFORMS = {
+    ("s2", "forward", "fast"): s2_fft_forward,
+    ("s2", "forward", "direct"): s2_dft_forward,
+    ("s2", "inverse", "fast"): s2_fft_inverse,
+    ("s2", "inverse", "direct"): s2_dft_inverse,
+    ("so3", "forward", "fast"): so3_fft_forward,
+    ("so3", "forward", "direct"): so3_dft_forward,
+    ("so3", "inverse", "fast"): so3_fft_inverse,
+    ("so3", "inverse", "direct"): so3_dft_inverse,
+}
 
 
 # ---------------------------------------------------------------------------

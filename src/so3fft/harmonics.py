@@ -232,6 +232,7 @@ class WignerTables:
 
 def build_tables(
     bandwidth: int,
+    *,
     memory_cap_bytes: int = DEFAULT_TABLE_MEMORY_CAP,
     columns: str = "all",
 ) -> WignerTables:

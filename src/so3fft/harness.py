@@ -30,18 +30,12 @@ from .correlation import (
     rotate_so3_spectral,
 )
 from .gft import (
-    S2Signal,
+    _KIND_TYPES,
+    _TRANSFORMS,
     SO3Signal,
     bandlimit_so3,
-    s2_dft_forward,
-    s2_dft_inverse,
-    s2_fft_forward,
-    s2_fft_inverse,
     so3_coefficient_count,
-    so3_dft_forward,
-    so3_dft_inverse,
     so3_fft_forward,
-    so3_fft_inverse,
 )
 from .grids import random_rotation, validate_bandwidth
 from .harmonics import ResourceLimitError, cached_tables, estimate_table_bytes
@@ -56,6 +50,7 @@ __all__ = [
     "estimate_run_bytes",
     "run_bench",
     "run_equivariance",
+    "write_records_jsonl",
     "write_reports_csv",
     "write_reports_jsonl",
 ]
@@ -65,21 +60,6 @@ DIRECT_BENCH_CAPS = {"s2": 64, "so3": 32}
 
 _ROTATION_SOURCES = ("spectral", "resampling")
 _STD_FLOOR = 1e-30
-
-# (kind, direction, path) -> public transform.  The CLI dispatches through
-# this same dict and run_bench looks its functions up at call time, so
-# rebinding a value (as perfbench's tracer does) reaches both.
-_TRANSFORMS = {
-    ("s2", "forward", "fast"): s2_fft_forward,
-    ("s2", "forward", "direct"): s2_dft_forward,
-    ("s2", "inverse", "fast"): s2_fft_inverse,
-    ("s2", "inverse", "direct"): s2_dft_inverse,
-    ("so3", "forward", "fast"): so3_fft_forward,
-    ("so3", "forward", "direct"): so3_dft_forward,
-    ("so3", "inverse", "fast"): so3_fft_inverse,
-    ("so3", "inverse", "direct"): so3_dft_inverse,
-}
-_SIGNAL_TYPES = {"s2": S2Signal, "so3": SO3Signal}
 
 
 @dataclass(frozen=True)
@@ -237,7 +217,9 @@ def run_equivariance(
     )
 
 
-def _write_jsonl(records, path) -> None:
+def write_records_jsonl(records, path) -> None:
+    """One JSON object per line, keys sorted: the harness's report format,
+    also used for :func:`run_bench` records."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True))
@@ -246,7 +228,7 @@ def _write_jsonl(records, path) -> None:
 
 def write_reports_jsonl(reports, path) -> None:
     """One JSON record per line, one line per report."""
-    _write_jsonl((report.to_record() for report in reports), path)
+    write_records_jsonl((report.to_record() for report in reports), path)
 
 
 def write_reports_csv(reports, path) -> None:
@@ -282,7 +264,7 @@ def run_bench(bandwidths, kind: str = "so3", repetitions: int = 5) -> list[dict]
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
     cap = DIRECT_BENCH_CAPS[kind]
-    signal_cls = _SIGNAL_TYPES[kind]
+    signal_cls = _KIND_TYPES[kind][0]
     records = []
     for b in bandwidths:
         validate_bandwidth(b)

@@ -43,6 +43,7 @@ __all__ = [
     "molecule_channels",
     "project_image",
     "read_container",
+    "read_container_header",
     "read_molecule",
     "read_pgm",
     "write_container",
@@ -466,7 +467,7 @@ _ELEMENTS = {"f64": np.dtype("<f8"), "c128": np.dtype("<c16")}
 
 def _payload_spec(kind: str, bandwidth: int, channels: int):
     """(object type, dtype string, payload shape) for each container type."""
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ContainerError(f"unknown container type {kind!r}")
     cls, dtype, _ = _KINDS[kind]
     n = 2 * bandwidth
@@ -544,6 +545,8 @@ def _read_header(fh, path) -> tuple[dict, int]:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: unparseable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
     for key in ("type", "bandwidth", "channels", "dtype", "layout"):
         if key not in header:
             raise ContainerError(f"{path}: header missing {key!r}")
@@ -563,11 +566,15 @@ def read_container(path):
         kind = header["type"]
         bandwidth = header["bandwidth"]
         channels = header["channels"]
-        if not isinstance(bandwidth, int) or bandwidth < 1:
-            raise ContainerError(f"{path}: bad bandwidth {bandwidth!r}")
-        if not isinstance(channels, int) or channels < 0:
-            raise ContainerError(f"{path}: bad channel count {channels!r}")
+        try:
+            bandwidth = validate_bandwidth(bandwidth)
+        except (TypeError, ValueError):
+            raise ContainerError(f"{path}: bad bandwidth {bandwidth!r}") from None
         cls, dtype, shape = _payload_spec(kind, bandwidth, channels)
+        # tables carry no channels (0); every other kind needs at least one
+        least = 0 if cls is WignerTables else 1
+        if type(channels) is not int or channels < least:
+            raise ContainerError(f"{path}: bad channel count {channels!r}")
         if header["dtype"] != dtype:
             raise ContainerError(
                 f"{path}: dtype {header['dtype']!r} does not match type {kind!r}"
