@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count_arg(1), default=20)
     p.add_argument("--relu", action="store_true")
     p.add_argument("--rotation", choices=["spectral", "resampling"], default="spectral")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
     p.add_argument(
         "--threads",
         type=_count_arg(0),

@@ -26,15 +26,19 @@ Each transform has two implementations with identical results:
   For small grids this is competitive; it shares nothing with the fast path
   beyond the sampled-basis tables.
 
-Inverse transforms synthesise a complex array and then drop the imaginary
-part.  The discarded residue is recorded on the returned signal; a residue
-above ``IMAG_RESIDUE_TOL`` (relative to the signal scale) raises
-:class:`GuardError` instead of being silently dropped.
+The fast path analyses and synthesises only the rows ``m >= 0`` (a
+half-spectrum real FFT along alpha) and takes the rows ``m < 0`` from the
+symmetry above.  Its inverse records the largest coefficient of its input's
+anti-Hermitian half, relative to ``max(1, max |coefficient|)``, as
+``imag_residue``; the direct inverse records the imaginary part it drops,
+relative to the signal scale.  A residue above ``IMAG_RESIDUE_TOL`` raises
+:class:`GuardError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,51 +245,76 @@ def _check_spectrum(spectrum) -> None:
         raise ValueError("spectrum contains non-finite coefficients")
 
 
-def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
-    scale = max(1.0, float(np.max(np.abs(values.real))))
-    residue = float(np.max(np.abs(values.imag))) / scale
+def _guarded(defect, scale, where: str) -> float:
+    """``defect / max(1, scale)``, the residue the guard checks."""
+    residue = float(defect / max(1.0, scale))
     if residue > IMAG_RESIDUE_TOL:
         raise GuardError(
-            f"imaginary residue {residue:.3e} after synthesis "
-            f"exceeds {IMAG_RESIDUE_TOL:.0e}; spectrum violates the "
-            "real-signal symmetry"
+            f"imaginary residue {residue:.3e} {where} exceeds "
+            f"{IMAG_RESIDUE_TOL:.0e}; spectrum violates the real-signal symmetry"
         )
-    return np.ascontiguousarray(values.real), residue
+    return residue
 
 
-def _synthesized(values: np.ndarray, signal_cls):
-    # real signal from values (K, 2b, 2b, G); the sphere drops its G = 1 axis
-    real, residue = _realized(values)
+def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
+    imag, real = np.max(np.abs(values.imag)), np.max(np.abs(values.real))
+    return np.ascontiguousarray(values.real), _guarded(imag, real, "after synthesis")
+
+
+def _synthesized(real: np.ndarray, residue: float, signal_cls):
+    # real signal from samples (K, 2b, 2b, G); the sphere drops its G = 1 axis
     if signal_cls is S2Signal:
         real = real[..., 0]
-    return signal_cls(values.shape[1] // 2, real, imag_residue=residue)
+    return signal_cls(real.shape[1] // 2, real, imag_residue=residue)
+
+
+@lru_cache(maxsize=16)
+def _mirror(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
+    """Position p, ``(l, m, n)``, of the packed buffer mirrors ``src[p]``, ``(l, -m,
+    -n)``, under ``sign[p] = (-1)^(m-n)``; ``neg`` lists the positions with m < 0."""
+    pos = spectrum_cls(bandwidth, np.arange(spectrum_cls._count(bandwidth)))
+    src, sign, neg = [], [], []
+    for l in range(bandwidth):
+        p = pos.columns(l)[0].real.astype(np.intp)  # (2l+1, columns)
+        m, n = np.ogrid[-l : l + 1, -(p.shape[1] // 2) : p.shape[1] // 2 + 1]
+        src.append(p[::-1, ::-1].ravel())
+        sign.append(((-1.0) ** (m - n)).ravel())
+        neg.append(p[:l].ravel())
+    maps = tuple(np.concatenate(a) for a in (src, sign, neg))
+    for a in maps:
+        a.flags.writeable = False  # shared by every caller
+    return maps
 
 
 # ---------------------------------------------------------------------------
-# fast paths: FFT over alpha/gamma, table contraction over beta
+# fast paths: half-spectrum FFT over alpha, table contraction over beta
 # ---------------------------------------------------------------------------
 
 def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
     """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid; a sphere
     signal is the grid with a single gamma sample (G = 1)."""
     b = samples.shape[1] // 2
-    t = _resolve_tables(b, tables, samples.shape[3])
-    # ifft2 supplies the uniform alpha/gamma averages together with
-    # e^{+i(m alpha + n gamma)}; fftshift puts frequency f at index
-    # f + len // 2 on each axis
-    fc = np.fft.fftshift(np.fft.ifft2(samples, axes=(2, 3)), axes=(2, 3))
-    h = fc.shape[3] // 2
+    gammas = samples.shape[3]
+    t = _resolve_tables(b, tables, gammas)
+    # ihfft supplies the uniform alpha average with e^{+i m alpha} for
+    # m = 0..b at index m; ifft does the same over gamma, where the (-1)^g
+    # factor puts frequency n at index n + G // 2 (fftshift without a copy)
+    fc = np.fft.ihfft(samples, axis=2)
+    fc *= (-1.0) ** np.arange(gammas)
+    fc = np.fft.ifft(fc, axis=3)
     out = spectrum_cls.zeros(b, samples.shape[0])
     for l in range(b):
         cols = out.columns(l)
         c = cols.shape[2] // 2  # the columns |n| <= c held by this domain
-        # one strided pass; optimize=True would route this through batched
-        # matmuls with a transposed copy of the slice per degree
-        cols[:] = np.einsum(
+        # rows m >= 0 in one strided pass; optimize=True would route this
+        # through batched matmuls with a transposed copy of the slice
+        cols[:, l:] = np.einsum(
             "jmn,kjmn->kmn",
-            t.weights[:, None, None] * t.d[l],
-            fc[:, :, _centered(b, l), _centered(h, c)],
+            t.weights[:, None, None] * t.d[l][:, l:],
+            fc[:, :, : l + 1, _centered(gammas // 2, c)],
         )
+    src, sign, neg = _mirror(b, spectrum_cls)
+    out.data[:, neg] = sign[neg] * out.data[:, src[neg]].conj()
     return out
 
 
@@ -296,18 +325,23 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     gammas = 2 * b if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
     _check_spectrum(spectrum)
-    h = gammas // 2
-    # centered layout: frequency f at index f + len // 2, the f = -b rows
-    # left zero; ifftshift turns it into FFT layout
-    g = np.zeros((spectrum.channels, 2 * b, 2 * b, gammas), dtype=np.complex128)
+    src, sign, _ = _mirror(b, type(spectrum))
+    d = spectrum.data  # its anti-Hermitian half synthesises to i * Im f
+    defect = 0.5 * np.max(np.abs(d - sign * d[:, src].conj()))
+    residue = _guarded(defect, np.max(np.abs(d)), "in the spectrum")
+    # rows m = 0..b at index m (m = b left zero; hfft takes the rows m < 0 as
+    # the conjugates of the rows m > 0, so the signal is real by construction),
+    # gamma frequency n at index n + G // 2, undone by the (-1)^g factor
+    g = np.zeros((spectrum.channels, 2 * b, b + 1, gammas), dtype=np.complex128)
     for l in range(b):
         cols = spectrum.columns(l)
         c = cols.shape[2] // 2
-        g[:, :, _centered(b, l), _centered(h, c)] += (
-            t.d[l] * ((2 * l + 1) * cols)[:, None]
+        g[:, :, : l + 1, _centered(gammas // 2, c)] += (
+            t.d[l][:, l:] * ((2 * l + 1) * cols[:, l:])[:, None]
         )
-    g = np.fft.ifftshift(g, axes=(2, 3))
-    return _synthesized(np.fft.fft2(g, axes=(2, 3)), signal_cls)
+    g = np.fft.fft(g, axis=3)
+    g *= (-1.0) ** np.arange(gammas)
+    return _synthesized(np.fft.hfft(g, n=2 * b, axis=2), residue, signal_cls)
 
 
 def s2_fft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
@@ -374,7 +408,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
             sn = _centered(h, cols[l].shape[2] // 2)
             acc[:, _centered(b - 1, l), sn] += (2 * l + 1) * t.d[l][j] * cols[l]
         values[:, j] = e_conj @ acc @ eg_conj.T
-    return _synthesized(values, signal_cls)
+    return _synthesized(*_realized(values), signal_cls)
 
 
 def s2_dft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:

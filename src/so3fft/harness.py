@@ -76,12 +76,9 @@ class EquivarianceConfig:
 
     def __post_init__(self) -> None:
         validate_bandwidth(self.bandwidth)
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name, low in (("layers", 1), ("channels", 1), ("trials", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.rotation_source not in _ROTATION_SOURCES:
             raise ValueError(
                 f"rotation_source must be one of {_ROTATION_SOURCES}, "

@@ -1,5 +1,5 @@
-"""Checks written once: container headers, count flags, bank splits and
-the table builder's keyword-only options."""
+"""Checks written once: container headers, count flags, the seed, bank
+splits and the table builder's keyword-only options."""
 
 import json
 import struct
@@ -11,6 +11,7 @@ from so3fft.cli import main
 from so3fft.correlation import multichannel_correlate
 from so3fft.gft import S2Signal, S2Spectrum, SO3Signal, SO3Spectrum
 from so3fft.harmonics import build_tables
+from so3fft.harness import EquivarianceConfig
 from so3fft.signals import ContainerError, crc64, read_container, write_container
 
 
@@ -130,3 +131,17 @@ def test_signals_and_spectra_share_one_channel_check(cls, trailing):
         cls(2, np.ones((1,) + trailing + (1,)))
     with pytest.raises(ValueError, match="at least one channel"):
         cls(2, np.ones((0,) + trailing))
+
+
+def test_equivariance_config_names_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        EquivarianceConfig(bandwidth=1, seed=-1)
+
+
+def test_negative_seed_flag_is_a_usage_error(capsys):
+    assert main([
+        "equivariance", "--bandwidth", "1", "--channels", "1",
+        "--trials", "1", "--seed", "-1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "must be >= 0" in err
