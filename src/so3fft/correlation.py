@@ -176,11 +176,11 @@ def multichannel_correlate(
         raise ValueError("bank and signal must live on the same domain")
     out = SO3Spectrum.zeros(plan.bandwidth_out, k_out)
     for l in range(plan.bandwidth_out):
-        # on the sphere both column views hold the single n = 0 column
-        bank_l = ps.columns(l).conj().reshape(k_out, k_in, 2 * l + 1, -1)
-        out.blocks(l)[:] = np.einsum(
-            "kmn,okpn->omp", fs.columns(l), bank_l, optimize=True
-        )
+        # conj(sum_kn conj(f[k,m,n]) psi[o,k,p,n]) conjugates the signal, not the
+        # larger bank; on the sphere both column views hold the n = 0 column
+        bank_l = ps.columns(l).reshape(k_out, k_in, 2 * l + 1, -1)
+        prod = np.tensordot(bank_l, fs.columns(l).conj(), axes=([1, 3], [0, 2]))
+        np.conjugate(prod.transpose(0, 2, 1), out=out.blocks(l))
     return so3_fft_inverse(out, plan.tables_out)
 
 

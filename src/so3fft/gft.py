@@ -15,9 +15,11 @@ coefficients obey ``fhat^l_{-m,-n} = (-1)^(m-n) conj(fhat^l_{mn})``.
 Each transform has two implementations with identical results:
 
 * the fast path, one engine for both domains: an FFT over the equispaced
-  alpha and gamma axes, then a per-degree contraction over colatitude rings
-  against precomputed Wigner-d tables.  A sphere signal is the rotation
-  grid with a single gamma sample, whose only column is ``n = 0``
+  alpha and gamma axes, then the colatitude sums as real matrix products,
+  a few per shell ``s = max(m, |n|)``, whose pairs ``(m, n)`` all cover the
+  degrees ``l = s..b-1``; they read the half shell rows of the Wigner-d
+  tables that ``WignerTables.shells`` caches.  A sphere signal is the
+  rotation grid with a single gamma sample, whose only column is ``n = 0``
   (``Y^l_m = D^l_m0``), so by default it reads the n = 0 column tables
   (``cached_tables(b, "zero")``); full tables passed in also serve;
 * the direct path (``*_dft_*``), one engine for both domains in the same
@@ -213,9 +215,9 @@ class SO3Spectrum(_SpectrumBase):
 def _resolve_tables(
     bandwidth: int, tables: WignerTables | None, gammas: int
 ) -> WignerTables:
-    """Tables holding exactly the columns a grid with ``gammas`` gamma
-    samples reads: n = 0 alone for one sample (the sphere), else all.  Full
-    tables given for the sphere serve through views of that column."""
+    """Tables that hold the columns a grid with ``gammas`` gamma samples
+    reads: by default the n = 0 column alone for one sample (the sphere),
+    else every column.  Full tables given for the sphere serve as they are."""
     columns = "all" if gammas > 1 else "zero"
     if tables is None:
         return cached_tables(bandwidth, columns)
@@ -224,15 +226,12 @@ def _resolve_tables(
             f"tables built for bandwidth {tables.bandwidth}, "
             f"data has bandwidth {bandwidth}"
         )
-    if tables.columns == columns:
-        return tables
-    if columns == "all":
+    if columns == "all" and tables.columns != "all":
         raise ValueError(
             "tables hold only the n = 0 column; rotation-group transforms "
             "need every column"
         )
-    d = [blk[:, :, l : l + 1] for l, blk in enumerate(tables.d)]
-    return WignerTables(bandwidth, d, tables.weights, columns)
+    return tables
 
 
 def _centered(center: int, half: int) -> slice:
@@ -287,32 +286,79 @@ def _mirror(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# fast paths: half-spectrum FFT over alpha, table contraction over beta
+# fast paths: half-spectrum FFT over alpha, shell products over beta
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
+    """The coefficients (l, m >= 0, n) in :func:`_shell_products`' order: by
+    shell s = max(m, |n|), then part (the row m = s for n >= 0 and n < 0,
+    the columns n = s and n = -s), then m + n, then l = s..b-1.  Gives their
+    packed positions, the sign by which each reads its shell row and 2l+1."""
+    b = bandwidth
+    idx = spectrum_cls(b, np.arange(spectrum_cls._count(b)))
+    c = idx.columns(b - 1).shape[2] // 2
+    m, n = (a.ravel() for a in np.mgrid[0:b, -c : c + 1])
+    s = np.maximum(m, np.abs(n))
+    order = np.lexsort((m + n, np.where(m == s, n < 0, 2 + (n < 0)), s))
+    span = (b - s)[order]
+    m, n, s = (np.repeat(a[order], span) for a in (m, n, s))
+    l = s + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    first = np.array([idx.columns(q)[0, 0, 0].real for q in range(b)], np.intp)
+    half = l if c else 0  # block l holds (m, n) row-major from first[l]
+    pos = first[l] + (m + l) * (2 * half + 1) + n + half
+    # (-1)^(m-s) on the column n = s > m; (-1)^(l+s) where n < 0 reads a mirror
+    flips = np.where(m < n, m - n, 0) + np.where(n < 0, l + s, 0)
+    maps = (pos, 1.0 - 2.0 * (flips & 1), 2 * l + 1)
+    for a in maps:
+        a.flags.writeable = False  # shared by every caller
+    return maps
+
+
+def _shell_products(t: WignerTables, grid: np.ndarray, coeffs: np.ndarray):
+    """Yield the table, ``grid`` ``[m, n + G//2, j, (channel, re/im)]`` and
+    ``coeffs`` ``[(pair, l), (channel, re/im)]`` rows of each part of each
+    shell: one unpadded real GEMM, as all its pairs cover l = s..b-1."""
+    b = t.bandwidth
+    c = grid.shape[1] // 2
+    q = 0
+    for s, rows in enumerate(t.shells):  # rows[n, l - s, j] = d^l_sn(beta_j)
+        if c == 0:  # the sphere's pair (s, 0) reads the row n = 0
+            parts = [(rows[:1], grid[s, :1])]
+        else:  # n < 0 reads row -n on the mirrored rings 2b-1-j
+            parts = [
+                (rows, grid[s, c : c + s + 1]),
+                (rows[s:0:-1, :, ::-1], grid[s, c - s : c]),
+                (rows[:s], grid[:s, c + s]),  # d^l_ms = (-1)^(m-s) d^l_sm
+                (rows[:s, :, ::-1], grid[:s, c - s]),  # d^l_{m,-s} = d^l_{s,-m}
+            ]
+        for r, g in parts:
+            p = len(g) * (b - s)
+            yield r, g, coeffs[q : q + p].reshape(len(g), b - s, coeffs.shape[1])
+            q += p
+
 
 def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
     """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid; a sphere
     signal is the grid with a single gamma sample (G = 1)."""
-    b = samples.shape[1] // 2
-    gammas = samples.shape[3]
+    k, n, _, gammas = samples.shape
+    b = n // 2
     t = _resolve_tables(b, tables, gammas)
-    # ihfft supplies the uniform alpha average with e^{+i m alpha} for
-    # m = 0..b at index m; ifft does the same over gamma, where the (-1)^g
-    # factor puts frequency n at index n + G // 2 (fftshift without a copy)
-    fc = np.fft.ihfft(samples, axis=2)
-    fc *= (-1.0) ** np.arange(gammas)
-    fc = np.fft.ifft(fc, axis=3)
-    out = spectrum_cls.zeros(b, samples.shape[0])
-    for l in range(b):
-        cols = out.columns(l)
-        c = cols.shape[2] // 2  # the columns |n| <= c held by this domain
-        # rows m >= 0 in one strided pass; optimize=True would route this
-        # through batched matmuls with a transposed copy of the slice
-        cols[:, l:] = np.einsum(
-            "jmn,kjmn->kmn",
-            t.weights[:, None, None] * t.d[l][:, l:],
-            fc[:, :, : l + 1, _centered(gammas // 2, c)],
-        )
+    # [m, n, j, channel]: the conjugate alpha/gamma averages, so plain rffts
+    # serve; m = 0..b at index m, n at n + G // 2 by the (-1)^g factor
+    fc = np.empty((b + 1, gammas, n, k), dtype=np.complex128)
+    np.fft.rfft(samples, axis=2, norm="forward", out=fc.transpose(3, 2, 0, 1))
+    fc *= ((-1.0) ** np.arange(gammas))[:, None, None] * t.weights[:, None]
+    np.fft.fft(fc, axis=1, norm="forward", out=fc)
+    pos, sign, _ = _shell_order(b, spectrum_cls)
+    coeffs = np.empty((len(pos), 2 * k))
+    for rows, grid, c in _shell_products(t, fc.view(np.float64), coeffs):
+        np.matmul(rows, grid, out=c)
+    coeffs = coeffs.view(np.complex128)
+    np.conjugate(coeffs, out=coeffs)
+    coeffs *= sign[:, None]
+    out = spectrum_cls.zeros(b, k)
+    out.data[:, pos] = coeffs.T
     src, sign, neg = _mirror(b, spectrum_cls)
     out.data[:, neg] = sign[neg] * out.data[:, src[neg]].conj()
     return out
@@ -321,7 +367,7 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
 def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto the rotation grid ``(K, 2b, 2b, G)``, with G = 1 gamma
     sample for a sphere spectrum (its single column is n = 0)."""
-    b = spectrum.bandwidth
+    b, k = spectrum.bandwidth, spectrum.channels
     gammas = 2 * b if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
     _check_spectrum(spectrum)
@@ -329,19 +375,20 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     d = spectrum.data  # its anti-Hermitian half synthesises to i * Im f
     defect = 0.5 * np.max(np.abs(d - sign * d[:, src].conj()))
     residue = _guarded(defect, np.max(np.abs(d)), "in the spectrum")
-    # rows m = 0..b at index m (m = b left zero; hfft takes the rows m < 0 as
-    # the conjugates of the rows m > 0, so the signal is real by construction),
-    # gamma frequency n at index n + G // 2, undone by the (-1)^g factor
-    g = np.zeros((spectrum.channels, 2 * b, b + 1, gammas), dtype=np.complex128)
-    for l in range(b):
-        cols = spectrum.columns(l)
-        c = cols.shape[2] // 2
-        g[:, :, : l + 1, _centered(gammas // 2, c)] += (
-            t.d[l][:, l:] * ((2 * l + 1) * cols[:, l:])[:, None]
-        )
-    g = np.fft.fft(g, axis=3)
-    g *= (-1.0) ** np.arange(gammas)
-    return _synthesized(np.fft.hfft(g, n=2 * b, axis=2), residue, signal_cls)
+    pos, sign, deg = _shell_order(b, type(spectrum))
+    coeffs = d.T[pos]
+    np.conjugate(coeffs, out=coeffs)
+    coeffs *= (sign * deg)[:, None]
+    # the conjugate grid of the forward (m = b left zero; irfft takes the rows
+    # m < 0 as the conjugates of the rows m > 0: the signal is real)
+    fc = np.zeros((b + 1, gammas, 2 * b, k), dtype=np.complex128)
+    for rows, grid, c in _shell_products(t, fc.view(np.float64), coeffs.view(np.float64)):
+        np.matmul(rows.transpose(0, 2, 1), c, out=grid)
+    np.fft.ifft(fc, axis=1, norm="forward", out=fc)
+    fc *= ((-1.0) ** np.arange(gammas))[:, None, None]
+    real = np.empty((k, 2 * b, 2 * b, gammas))
+    np.fft.irfft(fc, 2 * b, axis=0, norm="forward", out=real.transpose(2, 3, 1, 0))
+    return _synthesized(real, residue, signal_cls)
 
 
 def s2_fft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
@@ -372,21 +419,29 @@ def _dft_phases(bandwidth: int, gammas: int) -> tuple[np.ndarray, np.ndarray]:
     return e, e if gammas > 1 else np.ones((1, 1))
 
 
+def _dft_tables(bandwidth: int, tables: WignerTables | None, gammas: int):
+    """Ring weights and the ``d^l`` blocks the direct path reads: on the
+    sphere the n = 0 column alone (views, if full tables are given)."""
+    t = _resolve_tables(bandwidth, tables, gammas)
+    full = gammas == 1 and t.columns == "all"
+    return t.weights, [blk[:, :, l : l + 1] for l, blk in enumerate(t.d)] if full else t.d
+
+
 def _dft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
     """Analysis of samples ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
     k, n, _, gammas = samples.shape
     b = n // 2
-    t = _resolve_tables(b, tables, gammas)
+    weights, d = _dft_tables(b, tables, gammas)
     e, eg = _dft_phases(b, gammas)
     h = eg.shape[1] // 2
-    w = t.weights / (n * gammas)
+    w = weights / (n * gammas)
     out = spectrum_cls.zeros(b, k)
     cols = [out.columns(l) for l in range(b)]
     for j in range(n):
         ring = e.T @ samples[:, j] @ eg
         for l in range(b):
             sn = _centered(h, cols[l].shape[2] // 2)
-            cols[l] += w[j] * t.d[l][j] * ring[:, _centered(b - 1, l), sn]
+            cols[l] += w[j] * d[l][j] * ring[:, _centered(b - 1, l), sn]
     return out
 
 
@@ -394,7 +449,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
     b = spectrum.bandwidth
     gammas = 2 * b if signal_cls is SO3Signal else 1
-    t = _resolve_tables(b, tables, gammas)
+    _, d = _dft_tables(b, tables, gammas)
     _check_spectrum(spectrum)
     k = spectrum.channels
     e_conj, eg_conj = (p.conj() for p in _dft_phases(b, gammas))
@@ -406,7 +461,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
         acc.fill(0.0)
         for l in range(b):
             sn = _centered(h, cols[l].shape[2] // 2)
-            acc[:, _centered(b - 1, l), sn] += (2 * l + 1) * t.d[l][j] * cols[l]
+            acc[:, _centered(b - 1, l), sn] += (2 * l + 1) * d[l][j] * cols[l]
         values[:, j] = e_conj @ acc @ eg_conj.T
     return _synthesized(*_realized(values), signal_cls)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,19 +116,20 @@ def wigner_d_stack(l_max: int, betas, columns: str = "all") -> list[np.ndarray]:
         j = np.arange(-l, l + 1) if full else np.zeros(1, dtype=int)
         d = np.empty((nb, 2 * l + 1, j.size))
 
-        # interior |m|, |n| <= l-1: three-term recurrence in the degree
+        # interior |m|, |n| <= l-1: three-term recurrence in the degree, in
+        # place: (c_prev * d^{l-1} - c_prev2 * d^{l-2}) / lhs, d^{l-2} zero-padded
         mi = np.arange(-(l - 1), l, dtype=np.float64)
         mm = mi[:, None]
         nn = mi[None, :] if full else np.zeros((1, 1))
         lhs = (l - 1) * np.sqrt((l * l - mm * mm) * (l * l - nn * nn))
-        c_prev = (2 * l - 1) * ((l - 1) * l * x[:, None, None] - mm * nn)
         low = (l - 1) ** 2 - mm * mm
         low = low * ((l - 1) ** 2 - nn * nn)
         c_prev2 = l * np.sqrt(np.maximum(low, 0.0))
-        prev = blocks[l - 1]
-        prev2 = np.zeros_like(prev)  # zero-pad d^{l-2} out to d^{l-1}'s frame
-        prev2[:, 1:-1, inner] = blocks[l - 2]
-        d[:, 1:-1, inner] = (c_prev * prev - c_prev2 * prev2) / lhs
+        rec = np.subtract((l - 1) * l * x[:, None, None], mm * nn, out=d[:, 1:-1, inner])
+        rec *= 2 * l - 1
+        rec *= blocks[l - 1]
+        rec[:, 1:-1, inner] -= c_prev2[1:-1, inner] * blocks[l - 2]
+        rec /= lhs
 
         # boundary rows m = +/-l and columns n = +/-l: closed forms, with
         # sqrt(C(2l, l-n)) from exact integer binomials
@@ -228,6 +230,29 @@ class WignerTables:
     d: list[np.ndarray] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     columns: str = "all"
+
+    @cached_property
+    def shells(self) -> list[np.ndarray]:
+        """``shells[s][n, l - s, j] = d^l_sn(beta_j)``, l = s..b-1, n = 0..c
+        (c = s, or 0 for the n = 0 column): the half rows all the fast
+        beta stage reads of each shell s = max(m, |n|), m >= 0, through
+        ``d^l_ms = (-1)^(m-s) d^l_sm``, ``d^l_{m,-s} = d^l_{s,-m}`` and,
+        the rings being mirror-symmetric, ``d^l_{s,-n}(beta) = (-1)^(l+s)
+        d^l_sn(pi - beta)``.  Built on first use: about an eighth of ``d``."""
+        b = self.bandwidth
+        s = np.arange(b)
+        rows = s + 1 if self.columns == "all" else np.ones(b, dtype=np.intp)
+        size = rows * (b - s)  # rings of 2b samples per shell
+        start = np.cumsum(size) - size
+        flat = np.empty((size.sum(), 2 * b))
+        # every shell row (s, n), by shell: those of degree l are a prefix
+        sh, n = np.nonzero(np.arange(rows[-1]) < rows[:, None])
+        at = start[sh] + n * (b - sh) - sh
+        for l, blk in enumerate(self.d):  # blk[j, m + l, n + c]
+            k = np.searchsorted(sh, l, side="right")
+            flat[at[:k] + l] = blk.transpose(1, 2, 0)[l + sh[:k], n[:k] + blk.shape[2] // 2]
+        parts = np.split(flat, start[1:])
+        return [p.reshape(r, b - q, 2 * b) for q, (p, r) in enumerate(zip(parts, rows))]
 
 
 def build_tables(
