@@ -289,26 +289,38 @@ def _mirror(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
 # fast paths: half-spectrum FFT over alpha, shell products over beta
 # ---------------------------------------------------------------------------
 
+def _shell_parts(s: int, c: int) -> list[tuple]:
+    """Each part of shell s = max(m, |n|), m >= 0: the rows of ``shells[s]``
+    it reads, whether on the mirrored rings, and its grid index (m, n + c)."""
+    if c == 0:  # the sphere's pair (s, 0) reads the row n = 0
+        return [(slice(0, 1), False, s, slice(0, 1))]
+    return [
+        (slice(0, s + 1), False, s, slice(c, c + s + 1)),
+        (slice(s, 0, -1), True, s, slice(c - s, c)),  # n < 0 reads row -n
+        (slice(0, s), False, slice(0, s), c + s),  # d^l_ms = (-1)^(m-s) d^l_sm
+        (slice(0, s), True, slice(0, s), c - s),  # d^l_{m,-s} = d^l_{s,-m}
+    ]
+
+
 @lru_cache(maxsize=16)
 def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
-    """The coefficients (l, m >= 0, n) in :func:`_shell_products`' order: by
-    shell s = max(m, |n|), then part (the row m = s for n >= 0 and n < 0,
-    the columns n = s and n = -s), then m + n, then l = s..b-1.  Gives their
+    """The coefficients (l, m >= 0, n) in :func:`_shell_products`' order: their
     packed positions, the sign by which each reads its shell row and 2l+1."""
     b = bandwidth
     idx = spectrum_cls(b, np.arange(spectrum_cls._count(b)))
     c = idx.columns(b - 1).shape[2] // 2
-    m, n = (a.ravel() for a in np.mgrid[0:b, -c : c + 1])
+    grid = np.mgrid[0:b, -c : c + 1]  # [(m, n), m, n + c]
+    parts = [p[2:] for s in range(b) for p in _shell_parts(s, c)]
+    m, n = np.concatenate([grid[:, gm, gn].reshape(2, -1) for gm, gn in parts], 1)
     s = np.maximum(m, np.abs(n))
-    order = np.lexsort((m + n, np.where(m == s, n < 0, 2 + (n < 0)), s))
-    span = (b - s)[order]
-    m, n, s = (np.repeat(a[order], span) for a in (m, n, s))
+    span = b - s
+    m, n, s = (np.repeat(a, span) for a in (m, n, s))
     l = s + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
     first = np.array([idx.columns(q)[0, 0, 0].real for q in range(b)], np.intp)
     half = l if c else 0  # block l holds (m, n) row-major from first[l]
     pos = first[l] + (m + l) * (2 * half + 1) + n + half
     # (-1)^(m-s) on the column n = s > m; (-1)^(l+s) where n < 0 reads a mirror
-    flips = np.where(m < n, m - n, 0) + np.where(n < 0, l + s, 0)
+    flips = np.where(n < 0, l + s, m - s)
     maps = (pos, 1.0 - 2.0 * (flips & 1), 2 * l + 1)
     for a in maps:
         a.flags.writeable = False  # shared by every caller
@@ -319,21 +331,12 @@ def _shell_products(t: WignerTables, grid: np.ndarray, coeffs: np.ndarray):
     """Yield the table, ``grid`` ``[m, n + G//2, j, (channel, re/im)]`` and
     ``coeffs`` ``[(pair, l), (channel, re/im)]`` rows of each part of each
     shell: one unpadded real GEMM, as all its pairs cover l = s..b-1."""
-    b = t.bandwidth
-    c = grid.shape[1] // 2
-    q = 0
+    b, c, q = t.bandwidth, grid.shape[1] // 2, 0
     for s, rows in enumerate(t.shells):  # rows[n, l - s, j] = d^l_sn(beta_j)
-        if c == 0:  # the sphere's pair (s, 0) reads the row n = 0
-            parts = [(rows[:1], grid[s, :1])]
-        else:  # n < 0 reads row -n on the mirrored rings 2b-1-j
-            parts = [
-                (rows, grid[s, c : c + s + 1]),
-                (rows[s:0:-1, :, ::-1], grid[s, c - s : c]),
-                (rows[:s], grid[:s, c + s]),  # d^l_ms = (-1)^(m-s) d^l_sm
-                (rows[:s, :, ::-1], grid[:s, c - s]),  # d^l_{m,-s} = d^l_{s,-m}
-            ]
-        for r, g in parts:
+        for r, mirrored, gm, gn in _shell_parts(s, c):
+            g = grid[gm, gn]
             p = len(g) * (b - s)
+            r = rows[r, :, ::-1] if mirrored else rows[r]  # at pi - beta_j
             yield r, g, coeffs[q : q + p].reshape(len(g), b - s, coeffs.shape[1])
             q += p
 
@@ -419,29 +422,22 @@ def _dft_phases(bandwidth: int, gammas: int) -> tuple[np.ndarray, np.ndarray]:
     return e, e if gammas > 1 else np.ones((1, 1))
 
 
-def _dft_tables(bandwidth: int, tables: WignerTables | None, gammas: int):
-    """Ring weights and the ``d^l`` blocks the direct path reads: on the
-    sphere the n = 0 column alone (views, if full tables are given)."""
-    t = _resolve_tables(bandwidth, tables, gammas)
-    full = gammas == 1 and t.columns == "all"
-    return t.weights, [blk[:, :, l : l + 1] for l, blk in enumerate(t.d)] if full else t.d
-
-
 def _dft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
     """Analysis of samples ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
     k, n, _, gammas = samples.shape
     b = n // 2
-    weights, d = _dft_tables(b, tables, gammas)
+    t = _resolve_tables(b, tables, gammas)
     e, eg = _dft_phases(b, gammas)
     h = eg.shape[1] // 2
-    w = weights / (n * gammas)
+    w = t.weights / (n * gammas)
     out = spectrum_cls.zeros(b, k)
     cols = [out.columns(l) for l in range(b)]
     for j in range(n):
         ring = e.T @ samples[:, j] @ eg
         for l in range(b):
-            sn = _centered(h, cols[l].shape[2] // 2)
-            cols[l] += w[j] * d[l][j] * ring[:, _centered(b - 1, l), sn]
+            c = cols[l].shape[2] // 2  # full tables on the sphere: n = 0 alone
+            dl = t.d[l][j][:, _centered(t.d[l].shape[2] // 2, c)]
+            cols[l] += w[j] * dl * ring[:, _centered(b - 1, l), _centered(h, c)]
     return out
 
 
@@ -449,7 +445,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
     b = spectrum.bandwidth
     gammas = 2 * b if signal_cls is SO3Signal else 1
-    _, d = _dft_tables(b, tables, gammas)
+    t = _resolve_tables(b, tables, gammas)
     _check_spectrum(spectrum)
     k = spectrum.channels
     e_conj, eg_conj = (p.conj() for p in _dft_phases(b, gammas))
@@ -460,8 +456,9 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     for j in range(2 * b):
         acc.fill(0.0)
         for l in range(b):
-            sn = _centered(h, cols[l].shape[2] // 2)
-            acc[:, _centered(b - 1, l), sn] += (2 * l + 1) * d[l][j] * cols[l]
+            c = cols[l].shape[2] // 2
+            dl = t.d[l][j][:, _centered(t.d[l].shape[2] // 2, c)]
+            acc[:, _centered(b - 1, l), _centered(h, c)] += (2 * l + 1) * dl * cols[l]
         values[:, j] = e_conj @ acc @ eg_conj.T
     return _synthesized(*_realized(values), signal_cls)
 

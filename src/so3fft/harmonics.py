@@ -233,12 +233,12 @@ class WignerTables:
 
     @cached_property
     def shells(self) -> list[np.ndarray]:
-        """``shells[s][n, l - s, j] = d^l_sn(beta_j)``, l = s..b-1, n = 0..c
-        (c = s, or 0 for the n = 0 column): the half rows all the fast
-        beta stage reads of each shell s = max(m, |n|), m >= 0, through
-        ``d^l_ms = (-1)^(m-s) d^l_sm``, ``d^l_{m,-s} = d^l_{s,-m}`` and,
-        the rings being mirror-symmetric, ``d^l_{s,-n}(beta) = (-1)^(l+s)
-        d^l_sn(pi - beta)``.  Built on first use: about an eighth of ``d``."""
+        """``shells[s][n, l - s, j] = d^l_sn(beta_j)``, l = s..b-1, n = 0..s
+        (n = 0 alone for the n = 0 column): all the fast transforms read of
+        each shell s = max(m, |n|), through d^l_ms = (-1)^(m-s) d^l_sm,
+        d^l_{m,-s} = d^l_{s,-m} and d^l_{s,-n}(beta) = (-1)^(l+s) d^l_sn(pi -
+        beta), as the rings are mirror-symmetric.  Built on first use, about
+        an eighth of ``d``, and counted against :func:`build_tables`' cap."""
         b = self.bandwidth
         s = np.arange(b)
         rows = s + 1 if self.columns == "all" else np.ones(b, dtype=np.intp)
@@ -264,14 +264,17 @@ def build_tables(
     """Precompute the sampled Wigner-d tables for one bandwidth and
     column set.
 
-    The memory footprint is estimated up front; exceeding ``memory_cap_bytes``
-    raises :class:`ResourceLimitError` before anything is allocated.
+    The memory footprint, with the shell layout the fast transforms add
+    (:attr:`WignerTables.shells`), is estimated up front; exceeding
+    ``memory_cap_bytes`` raises :class:`ResourceLimitError` before anything
+    is allocated.
     """
     b = validate_bandwidth(bandwidth)
-    estimate = estimate_table_bytes(b, columns)
+    rows = b * (b + 1) * (b + 2) // 6 if columns == "all" else b * (b + 1) // 2
+    estimate = estimate_table_bytes(b, columns) + 8 * 2 * b * rows
     if estimate > memory_cap_bytes:
         raise ResourceLimitError(
-            f"d tables at bandwidth {b} need ~{estimate / 1e6:.0f} MB, "
+            f"d tables and shells at bandwidth {b} need ~{estimate / 1e6:.0f} MB, "
             f"over the cap of {memory_cap_bytes / 1e6:.0f} MB"
         )
     return WignerTables(

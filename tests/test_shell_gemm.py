@@ -17,7 +17,12 @@ from so3fft.gft import (
     so3_fft_forward,
     so3_fft_inverse,
 )
-from so3fft.harmonics import build_tables, cached_tables
+from so3fft.harmonics import (
+    ResourceLimitError,
+    build_tables,
+    cached_tables,
+    estimate_table_bytes,
+)
 
 DOMAINS = {
     "s2": (S2Signal, 2, s2_fft_forward, s2_dft_forward, s2_fft_inverse, s2_dft_inverse),
@@ -25,6 +30,11 @@ DOMAINS = {
 }
 # (domain, whether the sphere is given full tables rather than the default)
 CASES = [("s2", False), ("s2", True), ("so3", False)]
+# test_half_spectrum checks the default tables at b <= 8; here b = 16 and the
+# sphere given full tables, at every bandwidth
+MATCH_CASES = [(d, f, 16) for d, f in CASES] + [
+    ("s2", True, b) for b in (1, 2, 3, 8)
+]
 
 
 def grid_noise(domain, bandwidth, channels, seed=0):
@@ -38,8 +48,7 @@ def rel(got, want):
 
 
 @pytest.mark.parametrize("channels", [1, 3])
-@pytest.mark.parametrize("bandwidth", [1, 2, 3, 8, 16])
-@pytest.mark.parametrize("domain,full", CASES)
+@pytest.mark.parametrize("domain,full,bandwidth", MATCH_CASES)
 def test_fast_matches_direct_both_directions(domain, full, bandwidth, channels):
     _, _, fast_fwd, direct_fwd, fast_inv, direct_inv = DOMAINS[domain]
     tables = cached_tables(bandwidth) if full else None
@@ -95,3 +104,14 @@ def test_transforms_reuse_the_cached_layout(domain, full):
     fast_inv(spectrum, tables)
     fast_fwd(grid_noise(domain, 4, 2, seed=1), tables)
     assert vars(tables)["shells"] is layout
+
+
+@pytest.mark.parametrize("columns", ["all", "zero"])
+def test_memory_cap_counts_the_shell_layout(columns):
+    layout = sum(rows.nbytes for rows in cached_tables(16, columns).shells)
+    cap = estimate_table_bytes(16, columns) + layout
+    with pytest.raises(ResourceLimitError, match="cap"):
+        build_tables(16, memory_cap_bytes=cap - 1, columns=columns)
+    tables = build_tables(16, memory_cap_bytes=cap, columns=columns)
+    used = sum(blk.nbytes for blk in tables.d) + sum(r.nbytes for r in tables.shells)
+    assert used <= cap
