@@ -29,12 +29,15 @@ Each transform has two implementations with identical results:
   beyond the sampled-basis tables.
 
 The fast path analyses and synthesises only the rows ``m >= 0`` (a
-half-spectrum real FFT along alpha) and takes the rows ``m < 0`` from the
-symmetry above.  Its inverse records the largest coefficient of its input's
-anti-Hermitian half, relative to ``max(1, max |coefficient|)``, as
-``imag_residue``; the direct inverse records the imaginary part it drops,
-relative to the signal scale.  A residue above ``IMAG_RESIDUE_TOL`` raises
-:class:`GuardError`.
+half-spectrum real FFT along alpha); its forward writes the rows ``m < 0``
+from the rows ``m > 0`` by the symmetry above.  Its inverse records the
+largest coefficient of its input's anti-Hermitian half, relative to
+``max(1, max |coefficient|)``, as ``imag_residue``: it compares the rows
+``m >= 0`` with their mirrors, as the defect at (l, -m, -n) equals that at
+(l, m, n), so the residue is the whole spectrum's.  Both directions read one
+cached index map, ``_shell_order``.  The direct inverse records the
+imaginary part it drops, relative to the signal scale.  A residue above
+``IMAG_RESIDUE_TOL`` raises :class:`GuardError`.
 """
 
 from __future__ import annotations
@@ -78,15 +81,13 @@ class GuardError(Exception):
 
 def s2_coefficient_count(bandwidth: int) -> int:
     """Coefficients per channel on the sphere: ``sum_{l<b} (2l+1) = b**2``."""
-    b = validate_bandwidth(bandwidth)
-    return b * b
+    return S2Spectrum._count(validate_bandwidth(bandwidth))
 
 
 def so3_coefficient_count(bandwidth: int) -> int:
     """Coefficients per channel on the rotation group:
-    ``sum_{l<b} (2l+1)**2 = b(2b-1)(2b+1)/3``."""
-    b = validate_bandwidth(bandwidth)
-    return b * (2 * b - 1) * (2 * b + 1) // 3
+    ``sum_{l<b} (2l+1)**2 = b(4b**2-1)/3``."""
+    return SO3Spectrum._count(validate_bandwidth(bandwidth))
 
 
 def _channel_array(values, dtype, trailing: tuple, name: str) -> np.ndarray:
@@ -190,26 +191,26 @@ class _SpectrumBase:
 
 class S2Spectrum(_SpectrumBase):
     @staticmethod
-    def _count(bandwidth: int) -> int:
-        return s2_coefficient_count(bandwidth)
+    def _count(l):
+        """Where degree l's block starts (l an int or int array): ``l**2``."""
+        return l * l
 
     def blocks(self, degree: int) -> np.ndarray:
         """View of degree ``degree`` across channels, shape ``(K, 2l+1)``."""
-        l = degree
-        return self.data[:, l * l : (l + 1) * (l + 1)]
+        return self.data[:, self._count(degree) : self._count(degree + 1)]
 
 
 class SO3Spectrum(_SpectrumBase):
     @staticmethod
-    def _count(bandwidth: int) -> int:
-        return so3_coefficient_count(bandwidth)
+    def _count(l):
+        """Where degree l's block starts (l an int or int array): ``l(4l**2-1)/3``."""
+        return l * (4 * l * l - 1) // 3
 
     def blocks(self, degree: int) -> np.ndarray:
         """View of degree ``degree`` across channels, ``(K, 2l+1, 2l+1)``."""
-        l = degree
-        off = l * (2 * l - 1) * (2 * l + 1) // 3
-        n = 2 * l + 1
-        return self.data[:, off : off + n * n].reshape(self.channels, n, n)
+        n = 2 * degree + 1
+        block = self.data[:, self._count(degree) : self._count(degree + 1)]
+        return block.reshape(self.channels, n, n)
 
 
 def _resolve_tables(
@@ -267,24 +268,6 @@ def _synthesized(real: np.ndarray, residue: float, signal_cls):
     return signal_cls(real.shape[1] // 2, real, imag_residue=residue)
 
 
-@lru_cache(maxsize=16)
-def _mirror(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
-    """Position p, ``(l, m, n)``, of the packed buffer mirrors ``src[p]``, ``(l, -m,
-    -n)``, under ``sign[p] = (-1)^(m-n)``; ``neg`` lists the positions with m < 0."""
-    pos = spectrum_cls(bandwidth, np.arange(spectrum_cls._count(bandwidth)))
-    src, sign, neg = [], [], []
-    for l in range(bandwidth):
-        p = pos.columns(l)[0].real.astype(np.intp)  # (2l+1, columns)
-        m, n = np.ogrid[-l : l + 1, -(p.shape[1] // 2) : p.shape[1] // 2 + 1]
-        src.append(p[::-1, ::-1].ravel())
-        sign.append(((-1.0) ** (m - n)).ravel())
-        neg.append(p[:l].ravel())
-    maps = tuple(np.concatenate(a) for a in (src, sign, neg))
-    for a in maps:
-        a.flags.writeable = False  # shared by every caller
-    return maps
-
-
 # ---------------------------------------------------------------------------
 # fast paths: half-spectrum FFT over alpha, shell products over beta
 # ---------------------------------------------------------------------------
@@ -305,10 +288,12 @@ def _shell_parts(s: int, c: int) -> list[tuple]:
 @lru_cache(maxsize=16)
 def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     """The coefficients (l, m >= 0, n) in :func:`_shell_products`' order: their
-    packed positions, the sign by which each reads its shell row and 2l+1."""
+    packed positions, those of their mirrors (l, -m, -n), the parity
+    (-1)^(m-n) of the symmetry, the sign by which each reads its shell row
+    and 2l+1."""
     b = bandwidth
-    idx = spectrum_cls(b, np.arange(spectrum_cls._count(b)))
-    c = idx.columns(b - 1).shape[2] // 2
+    so3 = spectrum_cls is SO3Spectrum
+    c = b - 1 if so3 else 0
     grid = np.mgrid[0:b, -c : c + 1]  # [(m, n), m, n + c]
     parts = [p[2:] for s in range(b) for p in _shell_parts(s, c)]
     m, n = np.concatenate([grid[:, gm, gn].reshape(2, -1) for gm, gn in parts], 1)
@@ -316,12 +301,15 @@ def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     span = b - s
     m, n, s = (np.repeat(a, span) for a in (m, n, s))
     l = s + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
-    first = np.array([idx.columns(q)[0, 0, 0].real for q in range(b)], np.intp)
-    half = l if c else 0  # block l holds (m, n) row-major from first[l]
-    pos = first[l] + (m + l) * (2 * half + 1) + n + half
+    # block l holds (m, n) row-major from _count(l), (l, 0, 0) at its centre
+    width = 2 * l + 1 if so3 else 1
+    centre = (spectrum_cls._count(l) + spectrum_cls._count(l + 1)) // 2
+    pos = centre + m * width + n
+    mirror = centre - m * width - n
     # (-1)^(m-s) on the column n = s > m; (-1)^(l+s) where n < 0 reads a mirror
     flips = np.where(n < 0, l + s, m - s)
-    maps = (pos, 1.0 - 2.0 * (flips & 1), 2 * l + 1)
+    parity, sign = (1.0 - 2.0 * (f & 1) for f in (m - n, flips))
+    maps = (pos, mirror, parity, sign, 2 * l + 1)
     for a in maps:
         a.flags.writeable = False  # shared by every caller
     return maps
@@ -353,7 +341,7 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
     np.fft.rfft(samples, axis=2, norm="forward", out=fc.transpose(3, 2, 0, 1))
     fc *= ((-1.0) ** np.arange(gammas))[:, None, None] * t.weights[:, None]
     np.fft.fft(fc, axis=1, norm="forward", out=fc)
-    pos, sign, _ = _shell_order(b, spectrum_cls)
+    pos, mirror, parity, sign, _ = _shell_order(b, spectrum_cls)
     coeffs = np.empty((len(pos), 2 * k))
     for rows, grid, c in _shell_products(t, fc.view(np.float64), coeffs):
         np.matmul(rows, grid, out=c)
@@ -361,9 +349,9 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
     np.conjugate(coeffs, out=coeffs)
     coeffs *= sign[:, None]
     out = spectrum_cls.zeros(b, k)
+    # the mirrors first, so the computed row m = 0 overwrites its own
+    out.data[:, mirror] = (parity[:, None] * coeffs.conj()).T
     out.data[:, pos] = coeffs.T
-    src, sign, neg = _mirror(b, spectrum_cls)
-    out.data[:, neg] = sign[neg] * out.data[:, src[neg]].conj()
     return out
 
 
@@ -374,12 +362,11 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     gammas = 2 * b if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
     _check_spectrum(spectrum)
-    src, sign, _ = _mirror(b, type(spectrum))
+    pos, mirror, parity, sign, deg = _shell_order(b, type(spectrum))
     d = spectrum.data  # its anti-Hermitian half synthesises to i * Im f
-    defect = 0.5 * np.max(np.abs(d - sign * d[:, src].conj()))
+    coeffs = d.T[pos]  # the defect at (l, -m, -n) equals that at (l, m, n)
+    defect = 0.5 * np.max(np.abs(coeffs - parity[:, None] * d.T[mirror].conj()))
     residue = _guarded(defect, np.max(np.abs(d)), "in the spectrum")
-    pos, sign, deg = _shell_order(b, type(spectrum))
-    coeffs = d.T[pos]
     np.conjugate(coeffs, out=coeffs)
     coeffs *= (sign * deg)[:, None]
     # the conjugate grid of the forward (m = b left zero; irfft takes the rows

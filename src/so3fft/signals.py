@@ -571,9 +571,9 @@ def read_container(path):
         except (TypeError, ValueError):
             raise ContainerError(f"{path}: bad bandwidth {bandwidth!r}") from None
         cls, dtype, shape = _payload_spec(kind, bandwidth, channels)
-        # tables carry no channels (0); every other kind needs at least one
-        least = 0 if cls is WignerTables else 1
-        if type(channels) is not int or channels < least:
+        # tables carry no channels (exactly 0); every other kind needs at least one
+        tables = cls is WignerTables
+        if type(channels) is not int or channels < 0 or (channels == 0) != tables:
             raise ContainerError(f"{path}: bad channel count {channels!r}")
         if header["dtype"] != dtype:
             raise ContainerError(

@@ -45,6 +45,9 @@ BAD_HEADERS = {
     "so3spec-no-channels": (
         header("so3spec", channels=0, dtype="c128"), b"", "bad channel count",
     ),
+    "tables-with-channels": (
+        header("wigner-tables", channels=5), bytes(32), "bad channel count",
+    ),
 }
 
 

@@ -90,3 +90,52 @@ def test_round_trip_at_b16_reports_a_rounding_sized_residue(domain):
     _, _, forward, _, inverse, _ = DOMAINS[domain]
     back = inverse(forward(grid_noise(domain, 16, 2, seed=16)))
     assert 0.0 <= back.imag_residue <= 1e-12
+
+
+# (domain, l, m, n) of a lone coefficient: each half of the spectrum, and the
+# row m = 0, whose mirror (l, 0, -n) lies in the same row
+LONE = [
+    ("s2", 2, 1, 0),
+    ("s2", 2, -2, 0),
+    ("so3", 2, 1, -2),
+    ("so3", 2, 0, 1),
+    ("so3", 2, -1, 2),
+]
+
+
+@pytest.mark.parametrize("domain, l, m, n", LONE)
+def test_lone_coefficient_trips_the_guard_wherever_it_sits(domain, l, m, n):
+    spectrum = {"s2": S2Spectrum, "so3": SO3Spectrum}[domain].zeros(3, channels=2)
+    cols = spectrum.columns(l)  # (K, 2l+1, columns), [m+l, n+c]
+    cols[1, m + l, n + cols.shape[2] // 2] = 1.0  # its mirror left zero
+    with pytest.raises(GuardError, match="residue"):
+        DOMAINS[domain][4](spectrum)
+
+
+def mirror_by_degree(spectrum):
+    """Position p, (l, m, n), of the packed buffer mirrors src[p], (l, -m, -n),
+    under sign[p] = (-1)^(m-n); read one degree at a time off the blocks of a
+    spectrum that holds its own positions."""
+    index = type(spectrum)(spectrum.bandwidth, np.arange(spectrum.data.shape[1]))
+    src, sign = [], []
+    for l in range(spectrum.bandwidth):
+        p = index.columns(l)[0].real.astype(np.intp)  # (2l+1, columns)
+        m, n = np.ogrid[-l : l + 1, -(p.shape[1] // 2) : p.shape[1] // 2 + 1]
+        src.append(p[::-1, ::-1].ravel())
+        sign.append(((-1.0) ** (m - n)).ravel())
+    return np.concatenate(src), np.concatenate(sign)
+
+
+@pytest.mark.parametrize("bandwidth", [1, 2, 3, 8])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_residue_is_the_whole_spectrum_defect_bit_for_bit(domain, bandwidth):
+    _, _, forward, _, inverse, _ = DOMAINS[domain]
+    spectrum = forward(grid_noise(domain, bandwidth, 2, seed=bandwidth))
+    rng = np.random.default_rng(bandwidth)
+    shape = spectrum.data.shape
+    spectrum.data += 1e-9 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    d = spectrum.data
+    src, sign = mirror_by_degree(spectrum)
+    defect = 0.5 * np.max(np.abs(d - sign * d[:, src].conj()))
+    residue = inverse(spectrum).imag_residue
+    assert 0.0 < residue == defect / max(1.0, np.max(np.abs(d)))
