@@ -25,19 +25,20 @@ Each transform has two implementations with identical results:
 * the direct path (``*_dft_*``), one engine for both domains in the same
   way: explicit weighted sums of the samples against the sampled basis
   functions, ring by ring, with no FFT anywhere.
-  For small grids this is competitive; it shares nothing with the fast path
-  beyond the sampled-basis tables.
+  For small grids this is competitive; its sums share nothing with the fast
+  path beyond the sampled-basis tables.
 
 The fast path analyses and synthesises only the rows ``m >= 0`` (a
 half-spectrum real FFT along alpha); its forward writes the rows ``m < 0``
-from the rows ``m > 0`` by the symmetry above.  Its inverse records the
-largest coefficient of its input's anti-Hermitian half, relative to
-``max(1, max |coefficient|)``, as ``imag_residue``: it compares the rows
-``m >= 0`` with their mirrors, as the defect at (l, -m, -n) equals that at
-(l, m, n), so the residue is the whole spectrum's.  Both directions read one
-cached index map, ``_shell_order``.  The direct inverse records the
-imaginary part it drops, relative to the signal scale.  A residue above
-``IMAG_RESIDUE_TOL`` raises :class:`GuardError`.
+from the rows ``m > 0`` by the symmetry above.  Both inverses, fast and
+direct, run one guard before synthesis: it records the largest coefficient
+of the spectrum's anti-Hermitian half, relative to ``max(1, max |coefficient|)``,
+as ``imag_residue``, comparing the rows ``m >= 0`` with their mirrors, as
+the defect at (l, -m, -n) equals that at (l, m, n), so the residue is the
+whole spectrum's and the same on both paths.  The guard and both fast
+directions read one cached index map, ``_shell_order``.  A residue above
+``IMAG_RESIDUE_TOL`` raises :class:`GuardError`; below it the direct
+inverse keeps the real part of its sums.
 """
 
 from __future__ import annotations
@@ -240,11 +241,6 @@ def _centered(center: int, half: int) -> slice:
     return slice(center - half, center + half + 1)
 
 
-def _check_spectrum(spectrum) -> None:
-    if not np.all(np.isfinite(spectrum.data)):
-        raise ValueError("spectrum contains non-finite coefficients")
-
-
 def _guarded(defect, scale, where: str) -> float:
     """``defect / max(1, scale)``, the residue the guard checks."""
     residue = float(defect / max(1.0, scale))
@@ -254,11 +250,6 @@ def _guarded(defect, scale, where: str) -> float:
             f"{IMAG_RESIDUE_TOL:.0e}; spectrum violates the real-signal symmetry"
         )
     return residue
-
-
-def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
-    imag, real = np.max(np.abs(values.imag)), np.max(np.abs(values.real))
-    return np.ascontiguousarray(values.real), _guarded(imag, real, "after synthesis")
 
 
 def _synthesized(real: np.ndarray, residue: float, signal_cls):
@@ -315,6 +306,20 @@ def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     return maps
 
 
+def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
+    """The rows m >= 0 of a finite ``spectrum``, ``[coefficient, channel]``
+    in :func:`_shell_order`'s order, and the guarded residue of its
+    anti-Hermitian half, which would synthesise to ``i * Im f``: the defect
+    at (l, -m, -n) equals that at (l, m, n), so these rows see all of it."""
+    d = spectrum.data
+    if not np.all(np.isfinite(d)):
+        raise ValueError("spectrum contains non-finite coefficients")
+    pos, mirror, parity = _shell_order(spectrum.bandwidth, type(spectrum))[:3]
+    coeffs = d.T[pos]
+    defect = 0.5 * np.max(np.abs(coeffs - parity[:, None] * d.T[mirror].conj()))
+    return coeffs, _guarded(defect, np.max(np.abs(d)), "in the spectrum")
+
+
 def _shell_products(t: WignerTables, grid: np.ndarray, coeffs: np.ndarray):
     """Yield the table, ``grid`` ``[m, n + G//2, j, (channel, re/im)]`` and
     ``coeffs`` ``[(pair, l), (channel, re/im)]`` rows of each part of each
@@ -361,12 +366,8 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     b, k = spectrum.bandwidth, spectrum.channels
     gammas = 2 * b if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
-    _check_spectrum(spectrum)
-    pos, mirror, parity, sign, deg = _shell_order(b, type(spectrum))
-    d = spectrum.data  # its anti-Hermitian half synthesises to i * Im f
-    coeffs = d.T[pos]  # the defect at (l, -m, -n) equals that at (l, m, n)
-    defect = 0.5 * np.max(np.abs(coeffs - parity[:, None] * d.T[mirror].conj()))
-    residue = _guarded(defect, np.max(np.abs(d)), "in the spectrum")
+    coeffs, residue = _hermitian_rows(spectrum)
+    sign, deg = _shell_order(b, type(spectrum))[3:]
     np.conjugate(coeffs, out=coeffs)
     coeffs *= (sign * deg)[:, None]
     # the conjugate grid of the forward (m = b left zero; irfft takes the rows
@@ -433,7 +434,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     b = spectrum.bandwidth
     gammas = 2 * b if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
-    _check_spectrum(spectrum)
+    residue = _hermitian_rows(spectrum)[1]
     k = spectrum.channels
     e_conj, eg_conj = (p.conj() for p in _dft_phases(b, gammas))
     h = eg_conj.shape[1] // 2
@@ -447,7 +448,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
             dl = t.d[l][j][:, _centered(t.d[l].shape[2] // 2, c)]
             acc[:, _centered(b - 1, l), _centered(h, c)] += (2 * l + 1) * dl * cols[l]
         values[:, j] = e_conj @ acc @ eg_conj.T
-    return _synthesized(*_realized(values), signal_cls)
+    return _synthesized(values.real, residue, signal_cls)
 
 
 def s2_dft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:

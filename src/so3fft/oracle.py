@@ -3,7 +3,11 @@
 Everything here is built from pointwise evaluation of the basis functions
 (:mod:`.harmonics`) and plain grid quadrature (:mod:`.grids`); none of it
 shares a numerical kernel with the transform fast paths, and there is no FFT
-anywhere below.  The correlation oracles scale as (grid points) x (output
+anywhere below.  A sphere input is the gamma = 0 slice of the rotation
+grid: its point (alpha, beta) is the rotation (alpha, beta, 0), at which a
+sphere spectrum's basis functions ``Y^l_m = D^l_m0`` are evaluated, so
+resampling and the quadrature correlations each run one body for both
+domains.  The correlation oracles scale as (grid points) x (output
 rotations) and therefore refuse to run above a small bandwidth unless
 ``force=True``.
 """
@@ -13,15 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .correlation import _check_pair
-from .gft import S2Signal, S2Spectrum, SO3Signal, SO3Spectrum, _realized
+from .gft import S2Signal, S2Spectrum, SO3Signal, SO3Spectrum, _guarded
 from .grids import (
     Rotation,
-    cartesian_to_sphere,
-    make_s2_grid,
+    angle_samples,
+    beta_samples,
     make_so3_grid,
     matrix_to_euler,
     ring_weights,
-    sphere_to_cartesian,
     _y_matrix,
     _z_matrix,
 )
@@ -48,12 +51,31 @@ SO3_DIRECT_BANDWIDTH_CAP = 3
 _CHUNK = 512
 
 
-def _require_small(bandwidth: int, cap: int, force: bool, what: str) -> None:
-    if bandwidth > cap and not force:
+def _checked(psi, f, cap: int, force: bool, what: str) -> int:
+    """The bandwidth of a matching filter/signal pair, refused above
+    ``cap`` unless ``force``, before any work."""
+    _check_pair(psi, f)
+    b = f.bandwidth
+    if b > cap and not force:
         raise ValueError(
             f"{what} costs O(grid^2) and is capped at bandwidth {cap}; "
-            f"got {bandwidth} (pass force=True to run anyway)"
+            f"got {b} (pass force=True to run anyway)"
         )
+    return b
+
+
+def _on_rotation_grid(signal):
+    """``signal``'s samples as ``(K, 2b, 2b, G)`` and its spectrum type; a
+    sphere signal is the first gamma sample's slice, gamma = 0 (G = 1)."""
+    if isinstance(signal, S2Signal):
+        return signal.samples[..., None], S2Spectrum
+    return signal.samples, SO3Spectrum
+
+
+def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
+    # off-grid synthesis is not real by construction: guard what it drops
+    imag, real = np.max(np.abs(values.imag)), np.max(np.abs(values.real))
+    return np.ascontiguousarray(values.real), _guarded(imag, real, "after synthesis")
 
 
 def _project_direct(samples: np.ndarray, spectrum_cls):
@@ -122,141 +144,104 @@ def synthesize_so3_at(spectrum: SO3Spectrum, alphas, betas, gammas) -> np.ndarra
     return _synthesize_at(spectrum, alphas, betas, gammas)
 
 
+def _grid_matrices(bandwidth: int, gammas: int) -> np.ndarray:
+    """Rotation matrices of the grid samples with the first ``gammas`` gamma
+    samples, ``(2b, 2b, gammas, 3, 3)`` in (beta, alpha, gamma) layout to
+    match the sample arrays; one gamma sample, 0, gives the sphere grid."""
+    za = _z_matrix(angle_samples(bandwidth))
+    yb = _y_matrix(beta_samples(bandwidth))
+    return np.einsum("iab,jbc,kcd->jikad", za, yb, za[:gammas])
+
+
 def so3_grid_matrices(bandwidth: int) -> np.ndarray:
     """Rotation matrices of every grid sample, shaped ``(2b, 2b, 2b, 3, 3)``
     in (beta, alpha, gamma) layout to match the sample arrays."""
-    grid = make_so3_grid(bandwidth)
-    za = _z_matrix(grid.alphas)
-    yb = _y_matrix(grid.betas)
-    zg = _z_matrix(grid.gammas)
-    return np.einsum("iab,jbc,kcd->jikad", za, yb, zg)
+    return _grid_matrices(bandwidth, 2 * bandwidth)
+
+
+def _rotate_by_resampling(signal, rotation: Rotation):
+    b = signal.bandwidth
+    samples, spectrum_cls = _on_rotation_grid(signal)
+    spec = _project_direct(samples, spectrum_cls)
+    mats = rotation.matrix.T @ _grid_matrices(b, samples.shape[3])  # R^-1 Q
+    alphas, betas, gammas = matrix_to_euler(mats.reshape(-1, 3, 3))
+    values, residue = _realized(_synthesize_at(spec, alphas, betas, gammas))
+    return type(signal)(b, values.reshape(signal.samples.shape), imag_residue=residue)
 
 
 def rotate_s2_by_resampling(signal: S2Signal, rotation: Rotation) -> S2Signal:
     """``f(R^-1 x)`` at every grid point, via synthesis at the rotated
     points; exact for bandlimited inputs."""
-    b = signal.bandwidth
-    grid = make_s2_grid(b)
-    spec = s2_project_direct(signal)
-    av, bv = np.meshgrid(grid.alphas, grid.betas)  # (beta, alpha) layout
-    points = sphere_to_cartesian(av, bv) @ rotation.matrix  # R^-1 x = R^T x
-    alphas, betas = cartesian_to_sphere(points)
-    values, residue = _realized(synthesize_s2_at(spec, alphas, betas))
-    return S2Signal(b, values.reshape(signal.samples.shape), imag_residue=residue)
+    return _rotate_by_resampling(signal, rotation)
 
 
 def rotate_so3_by_resampling(signal: SO3Signal, rotation: Rotation) -> SO3Signal:
     """``f(R^-1 Q)`` at every grid rotation Q, via synthesis."""
-    b = signal.bandwidth
-    spec = so3_project_direct(signal)
-    mats = np.einsum("ab,jikbc->jikac", rotation.matrix.T, so3_grid_matrices(b))
-    alphas, betas, gammas = matrix_to_euler(mats.reshape(-1, 3, 3))
-    values, residue = _realized(synthesize_so3_at(spec, alphas, betas, gammas))
-    return SO3Signal(b, values.reshape(signal.samples.shape), imag_residue=residue)
+    return _rotate_by_resampling(signal, rotation)
+
+
+def _psi_at_pairs(psi, bandwidth_out: int):
+    """``psi(R^-1 Q)`` for every rotation R of the ``bandwidth_out`` grid and
+    every sample Q of psi's own grid, as ``(slice of R, (K, chunk, Q))``; a
+    sphere filter reads only (alpha, beta) of R^-1 Q."""
+    samples, spectrum_cls = _on_rotation_grid(psi)
+    spec = _project_direct(samples, spectrum_cls)
+    rotations = so3_grid_matrices(bandwidth_out).reshape(-1, 3, 3)
+    points = _grid_matrices(psi.bandwidth, samples.shape[3]).reshape(-1, 3, 3)
+    step = max(1, 64 * _CHUNK // len(points))  # bounds the pair arrays
+    for start in range(0, len(rotations), step):
+        sl = slice(start, start + step)
+        pair = np.einsum("nba,pbc->npac", rotations[sl], points, optimize=True)
+        vals = _synthesize_at(spec, *matrix_to_euler(pair.reshape(-1, 3, 3))).real
+        yield sl, vals.reshape(psi.channels, -1, len(points))
+
+
+def _correlate_direct(psi, f, bandwidth_out, cap: int, force: bool, what: str):
+    b = _checked(psi, f, cap, force, what)
+    b_out = b if bandwidth_out is None else bandwidth_out
+    if b_out > b:
+        raise ValueError("output bandwidth cannot exceed input bandwidth")
+    samples = _on_rotation_grid(f)[0]
+    weights = ring_weights(b) / (2 * b * samples.shape[3])  # the grid's, per ring
+    weighted = (samples * weights[:, None, None]).reshape(f.channels, -1)
+    out = np.empty((2 * b_out) ** 3)
+    for sl, vals in _psi_at_pairs(psi, b_out):
+        out[sl] = np.einsum("knp,kp->n", vals, weighted)
+    n = 2 * b_out
+    return SO3Signal(b_out, out.reshape(1, n, n, n))
 
 
 def s2_correlate_direct(
-    psi: S2Signal,
-    f: S2Signal,
-    bandwidth_out: int | None = None,
-    force: bool = False,
+    psi: S2Signal, f: S2Signal, bandwidth_out: int | None = None, force: bool = False
 ) -> SO3Signal:
-    """``C(R) = sum_k <L_R psi_k, f_k>`` by quadrature, one output rotation
-    at a time."""
-    _check_pair(psi, f)
-    b = f.bandwidth
-    _require_small(b, S2_DIRECT_BANDWIDTH_CAP, force, "s2_correlate_direct")
-    b_out = b if bandwidth_out is None else bandwidth_out
-    if b_out > b:
-        raise ValueError("output bandwidth cannot exceed input bandwidth")
-
-    in_grid = make_s2_grid(b)
-    spec_psi = s2_project_direct(psi)
-    av, bv = np.meshgrid(in_grid.alphas, in_grid.betas)
-    points = sphere_to_cartesian(av, bv).reshape(-1, 3)  # (P, 3)
-    weighted = (
-        f.samples * in_grid.weights[None, :, None]
-    ).reshape(f.channels, -1)
-
-    rot = so3_grid_matrices(b_out).reshape(-1, 3, 3)
-    out = np.empty(rot.shape[0])
-    step = max(1, _CHUNK // max(1, points.shape[0] // 64))
-    for start in range(0, rot.shape[0], step):
-        sl = slice(start, min(start + step, rot.shape[0]))
-        # R^-1 x for every (rotation, grid point) pair in the chunk
-        qpts = np.einsum("nba,pb->npa", rot[sl], points)
-        alphas, betas = cartesian_to_sphere(qpts)
-        vals = synthesize_s2_at(spec_psi, alphas, betas).real
-        vals = vals.reshape(f.channels, alphas.shape[0], alphas.shape[1])
-        out[sl] = np.einsum("knp,kp->n", vals, weighted)
-    n = 2 * b_out
-    return SO3Signal(b_out, out.reshape(1, n, n, n))
+    """``C(R) = sum_k <L_R psi_k, f_k>`` by quadrature over the sphere grid,
+    at every output grid rotation."""
+    return _correlate_direct(
+        psi, f, bandwidth_out, S2_DIRECT_BANDWIDTH_CAP, force, "s2_correlate_direct"
+    )
 
 
 def so3_correlate_direct(
-    psi: SO3Signal,
-    f: SO3Signal,
-    bandwidth_out: int | None = None,
-    force: bool = False,
+    psi: SO3Signal, f: SO3Signal, bandwidth_out: int | None = None, force: bool = False
 ) -> SO3Signal:
     """``C(R) = sum_k <L_R psi_k, f_k>`` on the rotation group, by
     quadrature over every grid rotation."""
-    _check_pair(psi, f)
-    b = f.bandwidth
-    _require_small(b, SO3_DIRECT_BANDWIDTH_CAP, force, "so3_correlate_direct")
-    b_out = b if bandwidth_out is None else bandwidth_out
-    if b_out > b:
-        raise ValueError("output bandwidth cannot exceed input bandwidth")
-
-    in_grid = make_so3_grid(b)
-    spec_psi = so3_project_direct(psi)
-    qmats = so3_grid_matrices(b).reshape(-1, 3, 3)  # (P, 3, 3)
-    weighted = (
-        f.samples * in_grid.weights[None, :, None, None]
-    ).reshape(f.channels, -1)
-
-    rot = so3_grid_matrices(b_out).reshape(-1, 3, 3)
-    out = np.empty(rot.shape[0])
-    for start in range(0, rot.shape[0], 64):
-        sl = slice(start, min(start + 64, rot.shape[0]))
-        # R^-1 Q for every pair in the chunk
-        pair = np.einsum("nba,pbc->npac", rot[sl], qmats)
-        alphas, betas, gammas = matrix_to_euler(pair.reshape(-1, 3, 3))
-        vals = synthesize_so3_at(spec_psi, alphas, betas, gammas).real
-        vals = vals.reshape(f.channels, sl.stop - sl.start, qmats.shape[0])
-        out[sl] = np.einsum("knp,kp->n", vals, weighted)
-    n = 2 * b_out
-    return SO3Signal(b_out, out.reshape(1, n, n, n))
+    return _correlate_direct(
+        psi, f, bandwidth_out, SO3_DIRECT_BANDWIDTH_CAP, force, "so3_correlate_direct"
+    )
 
 
 def dh_convolve_direct(f: S2Signal, psi: S2Signal, force: bool = False) -> S2Signal:
     """Spherical convolution ``integral f(R n) psi(R^-1 x) dR`` by Haar
     quadrature over the rotation grid, evaluated per output grid point."""
-    _check_pair(psi, f)
-    b = f.bandwidth
-    _require_small(b, S2_DIRECT_BANDWIDTH_CAP, force, "dh_convolve_direct")
-
-    s2_grid = make_s2_grid(b)
-    so3_grid = make_so3_grid(b)
-    spec_psi = s2_project_direct(psi)
-
+    b = _checked(psi, f, S2_DIRECT_BANDWIDTH_CAP, force, "dh_convolve_direct")
     # f(R n) only sees (alpha, beta) of R: lift the samples along gamma
     n = 2 * b
     lifted = np.broadcast_to(
-        f.samples[:, :, :, None] * so3_grid.weights[None, :, None, None],
+        f.samples[:, :, :, None] * make_so3_grid(b).weights[None, :, None, None],
         (f.channels, n, n, n),
     ).reshape(f.channels, -1)
-
-    rot = so3_grid_matrices(b).reshape(-1, 3, 3)
-    av, bv = np.meshgrid(s2_grid.alphas, s2_grid.betas)
-    points = sphere_to_cartesian(av, bv).reshape(-1, 3)
-
-    out = np.zeros(points.shape[0])
-    for start in range(0, rot.shape[0], 64):
-        sl = slice(start, min(start + 64, rot.shape[0]))
-        qpts = np.einsum("nba,pb->npa", rot[sl], points)
-        alphas, betas = cartesian_to_sphere(qpts)
-        vals = synthesize_s2_at(spec_psi, alphas, betas).real
-        vals = vals.reshape(f.channels, sl.stop - sl.start, points.shape[0])
+    out = np.zeros(n * n)
+    for sl, vals in _psi_at_pairs(psi, b):
         out += np.einsum("knp,kn->p", vals, lifted[:, sl])
     return S2Signal(b, out.reshape(1, n, n))

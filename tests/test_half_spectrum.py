@@ -2,9 +2,12 @@
 m >= 0, fills the rows m < 0 from the real-signal symmetry and guards
 inverse inputs with a Hermitian-defect check."""
 
+import re
+
 import numpy as np
 import pytest
 
+from so3fft.cli import main
 from so3fft.gft import (
     IMAG_RESIDUE_TOL,
     GuardError,
@@ -21,6 +24,7 @@ from so3fft.gft import (
     so3_fft_forward,
     so3_fft_inverse,
 )
+from so3fft.signals import write_container
 
 DOMAINS = {
     "s2": (S2Signal, 2, s2_fft_forward, s2_dft_forward, s2_fft_inverse, s2_dft_inverse),
@@ -139,3 +143,46 @@ def test_residue_is_the_whole_spectrum_defect_bit_for_bit(domain, bandwidth):
     defect = 0.5 * np.max(np.abs(d - sign * d[:, src].conj()))
     residue = inverse(spectrum).imag_residue
     assert 0.0 < residue == defect / max(1.0, np.max(np.abs(d)))
+
+
+def off_hermitian_by(domain, imag):
+    """b = 8 with fhat^0_00 = 1 and fhat^7_00 = i * imag: an anti-Hermitian
+    half of size ``imag`` on scale 1, which synthesises to an imaginary part
+    2l+1 = 15 times larger."""
+    spectrum = {"s2": S2Spectrum, "so3": SO3Spectrum}[domain].zeros(8)
+    spectrum.data[0, 0] = 1.0
+    cols = spectrum.columns(7)
+    cols[0, 7, cols.shape[2] // 2] = 1j * imag
+    return spectrum
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_fast_and_direct_inverses_report_one_residue(domain):
+    fast, direct = DOMAINS[domain][4:]
+    spectrum = off_hermitian_by(domain, 5e-7)
+    residue = fast(spectrum).imag_residue
+    assert direct(spectrum).imag_residue == residue
+    assert residue == pytest.approx(5e-7, rel=1e-9)
+
+
+@pytest.mark.parametrize("path", [4, 5], ids=["fast", "direct"])
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_fast_and_direct_inverses_trip_one_guard(domain, path):
+    with pytest.raises(GuardError, match="residue"):
+        DOMAINS[domain][path](off_hermitian_by(domain, 2e-6))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_cli_inverse_exit_code_and_residue_do_not_depend_on_the_path(
+    domain, tmp_path, capsys
+):
+    source = tmp_path / "spec.ssf"
+    write_container(source, off_hermitian_by(domain, 5e-7))
+    printed = []
+    for path in ("fast", "direct"):
+        argv = ["transform", "--kind", domain, "--dir", "inverse", "--path", path]
+        argv += ["--input", str(source), "--output", str(tmp_path / f"{path}.ssf")]
+        assert main(argv) == 0
+        line = capsys.readouterr().out.strip()
+        printed.append(re.search(r" imag_residue=(\S+)$", line).group(1))
+    assert printed[0] == printed[1] == "5.000e-07"
