@@ -88,15 +88,18 @@ def _bandwidth_list_arg(text: str) -> list[int]:
     return [_bandwidth_arg(p.strip()) for p in parts]
 
 
+def _read(path, *types):
+    """The object in the container at ``path``; exit 2 unless one of ``types``."""
+    obj = read_container(path)
+    if not isinstance(obj, types):
+        wanted = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{path} holds {type(obj).__name__}, expected {wanted}")
+    return obj
+
+
 def _cmd_transform(args) -> int:
-    obj = read_container(args.input)
     signal_cls, spectrum_cls = _KIND_TYPES[args.kind]
-    wanted = signal_cls if args.direction == "forward" else spectrum_cls
-    if not isinstance(obj, wanted):
-        raise ValueError(
-            f"{args.input} holds {type(obj).__name__}, but --kind {args.kind} "
-            f"--dir {args.direction} needs {wanted.__name__}"
-        )
+    obj = _read(args.input, signal_cls if args.direction == "forward" else spectrum_cls)
     result = _TRANSFORMS[(args.kind, args.direction, args.path)](obj)
     write_container(args.output, result)
     summary = (
@@ -110,15 +113,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    bank = read_container(args.filter)
-    signal = read_container(args.signal)
     wanted = _KIND_TYPES[args.kind][0]
-    for name, obj in (("filter", bank), ("signal", signal)):
-        if not isinstance(obj, wanted):
-            raise ValueError(
-                f"{name} container holds {type(obj).__name__}, expected "
-                f"{wanted.__name__}"
-            )
+    bank = _read(args.filter, wanted)
+    signal = _read(args.signal, wanted)
     out = multichannel_correlate(
         bank,
         signal,
@@ -136,16 +133,12 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    obj = read_container(args.input)
+    obj = _read(args.input, S2Signal, SO3Signal)
     rotation = Rotation(args.alpha, args.beta, args.gamma)
     if isinstance(obj, S2Signal):
         fn = rotate_s2_spectral if args.method == "spectral" else rotate_s2_by_resampling
-    elif isinstance(obj, SO3Signal):
-        fn = rotate_so3_spectral if args.method == "spectral" else rotate_so3_by_resampling
     else:
-        raise ValueError(
-            f"{args.input} holds {type(obj).__name__}; rotate needs a signal"
-        )
+        fn = rotate_so3_spectral if args.method == "spectral" else rotate_so3_by_resampling
     out = fn(obj, rotation)
     write_container(args.output, out)
     print(
@@ -315,7 +308,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
-    except (ContainerError, ResourceLimitError, OSError, ValueError) as exc:
+    except (ContainerError, MemoryError, ResourceLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationPlan:
     """Tables for repeated correlations at fixed shapes.  The output tables
     are built with the plan; the input tables on first use by each input

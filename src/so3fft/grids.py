@@ -110,7 +110,7 @@ def cartesian_to_sphere(xyz) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Grid:
     """Equiangular grid with 2b samples per axis, ``[beta, alpha, ...]``;
     ``weights[j]`` is the per-sample quadrature weight shared by every

@@ -17,9 +17,10 @@ column, ``Y^l_m(alpha, beta) = D^l_m0(alpha, beta, 0)``, so ``Y^1_0 = cos
 beta`` and ``<Y^l_m, Y^l_m> = 1/(2l+1)``.
 
 Evaluation uses a three-term recurrence in the degree for fixed ``(m, n)``,
-seeded at ``l = max(|m|, |n|)`` by closed forms for the boundary rows and
-columns.  Everything is double precision; the recurrence keeps entries
-bounded by 1 (up to rounding) out to l of a few hundred.
+seeded at ``l = max(|m|, |n|)``: at every degree l >= 1 closed forms give
+the boundary rows and columns, and ``d^1_00 = cos beta`` is the one
+interior seed.  Everything is double precision; the recurrence keeps
+entries bounded by 1 (up to rounding) out to l of a few hundred.
 
 Stacks and tables hold every column ``n`` (``columns="all"``, the rotation
 group) or the ``n = 0`` column alone (``"zero"``, all the sphere reads: 4.2
@@ -91,45 +92,33 @@ def wigner_d_stack(l_max: int, betas, columns: str = "all") -> list[np.ndarray]:
         raise ValueError("betas must be one-dimensional")
     nb = betas.shape[0]
     x = np.cos(betas)
-    sin_b = np.sin(betas)
     c_half = np.cos(0.5 * betas)
     s_half = np.sin(0.5 * betas)
 
     blocks = [np.ones((nb, 1, 1))]
-    if l_max == 0:
-        return blocks
-
-    d1 = np.empty((nb, 3, 3))
-    d1[:, 0, 0] = 0.5 * (1.0 + x)
-    d1[:, 0, 1] = sin_b / np.sqrt(2.0)
-    d1[:, 0, 2] = 0.5 * (1.0 - x)
-    d1[:, 1, 0] = -d1[:, 0, 1]
-    d1[:, 1, 1] = x
-    d1[:, 1, 2] = d1[:, 0, 1]
-    d1[:, 2, 0] = d1[:, 0, 2]
-    d1[:, 2, 1] = -d1[:, 0, 1]
-    d1[:, 2, 2] = d1[:, 0, 0]
-    blocks.append(d1 if full else d1[:, :, 1:2].copy())
-
     inner = slice(1, -1) if full else slice(None)  # the columns |n| < l
-    for l in range(2, l_max + 1):
+    for l in range(1, l_max + 1):
         j = np.arange(-l, l + 1) if full else np.zeros(1, dtype=int)
         d = np.empty((nb, 2 * l + 1, j.size))
 
-        # interior |m|, |n| <= l-1: three-term recurrence in the degree, in
-        # place: (c_prev * d^{l-1} - c_prev2 * d^{l-2}) / lhs, d^{l-2} zero-padded
-        mi = np.arange(-(l - 1), l, dtype=np.float64)
-        mm = mi[:, None]
-        nn = mi[None, :] if full else np.zeros((1, 1))
-        lhs = (l - 1) * np.sqrt((l * l - mm * mm) * (l * l - nn * nn))
-        low = (l - 1) ** 2 - mm * mm
-        low = low * ((l - 1) ** 2 - nn * nn)
-        c_prev2 = l * np.sqrt(np.maximum(low, 0.0))
-        rec = np.subtract((l - 1) * l * x[:, None, None], mm * nn, out=d[:, 1:-1, inner])
-        rec *= 2 * l - 1
-        rec *= blocks[l - 1]
-        rec[:, 1:-1, inner] -= c_prev2[1:-1, inner] * blocks[l - 2]
-        rec /= lhs
+        # interior |m|, |n| <= l-1: d^1_00 = cos beta, then a three-term
+        # recurrence in the degree, in place: (c_prev * d^{l-1} - c_prev2 *
+        # d^{l-2}) / lhs, d^{l-2} zero-padded
+        if l == 1:
+            d[:, 1:-1, inner] = x[:, None, None]
+        else:
+            mi = np.arange(-(l - 1), l, dtype=np.float64)
+            mm = mi[:, None]
+            nn = mi[None, :] if full else np.zeros((1, 1))
+            lhs = (l - 1) * np.sqrt((l * l - mm * mm) * (l * l - nn * nn))
+            low = (l - 1) ** 2 - mm * mm
+            low = low * ((l - 1) ** 2 - nn * nn)
+            c_prev2 = l * np.sqrt(np.maximum(low, 0.0))
+            rec = np.subtract((l - 1) * l * x[:, None, None], mm * nn, out=d[:, 1:-1, inner])
+            rec *= 2 * l - 1
+            rec *= blocks[l - 1]
+            rec[:, 1:-1, inner] -= c_prev2[1:-1, inner] * blocks[l - 2]
+            rec /= lhs
 
         # boundary rows m = +/-l and columns n = +/-l: closed forms, with
         # sqrt(C(2l, l-n)) from exact integer binomials
@@ -215,7 +204,7 @@ def estimate_table_bytes(bandwidth: int, columns: str = "all") -> int:
     return 8 * 2 * b * entries_per_ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerTables:
     """``d^l`` samples at the grid colatitudes plus the ring weights.
 

@@ -25,10 +25,9 @@ from .gft import (
     S2Spectrum,
     SO3Signal,
     SO3Spectrum,
-    so3_coefficient_count,
 )
 from .grids import make_s2_grid, sphere_to_cartesian, validate_bandwidth
-from .harmonics import WignerTables
+from .harmonics import DEFAULT_TABLE_MEMORY_CAP, ResourceLimitError, WignerTables
 
 __all__ = [
     "BadMagicError",
@@ -56,7 +55,7 @@ SINGULAR_DISTANCE = 1e-9
 # planar images
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarImage:
     """Grayscale raster with values in [0, 1]; row 0 is the top."""
 
@@ -146,6 +145,17 @@ def read_pgm(path) -> PlanarImage:
 _SQUARE_HALF = math.sqrt(2.0)  # image square inscribed in the equator disk
 
 
+def _check_grid_cap(bandwidth, arrays: int) -> None:
+    """Validate ``bandwidth``, and refuse it before anything is allocated if
+    ``arrays`` float64 arrays on its 2b x 2b grid pass the table memory cap."""
+    need = arrays * 8 * (2 * validate_bandwidth(bandwidth)) ** 2
+    if need > DEFAULT_TABLE_MEMORY_CAP:
+        raise ResourceLimitError(
+            f"{arrays} sample grids at bandwidth {bandwidth} need ~{need / 1e6:.0f} MB, "
+            f"over the cap of {DEFAULT_TABLE_MEMORY_CAP / 1e6:.0f} MB"
+        )
+
+
 def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
     """Wrap a flat image onto the northern hemisphere.
 
@@ -156,7 +166,9 @@ def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
     that land outside the image are zero; inside, pixels are sampled
     bilinearly.
     """
-    validate_bandwidth(bandwidth)
+    # at the peak: the angles, the points, u/v, the pixel coordinates and
+    # their parts, the four weights, and one weight's gather
+    _check_grid_cap(bandwidth, 24)
     grid = make_s2_grid(bandwidth)
     av, bv = np.meshgrid(grid.alphas, grid.betas)
     x, y, z = np.moveaxis(sphere_to_cartesian(av, bv), -1, 0)
@@ -193,7 +205,7 @@ def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
 # molecules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoleculeSpec:
     """Atom positions and charges plus the sampling-sphere radius."""
 
@@ -281,7 +293,8 @@ def molecule_channels(
     whole molecule changes nothing; rotating it about the center atom
     rotates the signal.
     """
-    validate_bandwidth(bandwidth)
+    # the angles, the points and one atom's offsets, plus the channels
+    _check_grid_cap(bandwidth, 12 + molecule.charge_types.size)
     if not 0 <= center < molecule.atom_count:
         raise ValueError(
             f"center atom {center} out of range 0..{molecule.atom_count - 1}"
@@ -413,13 +426,8 @@ def crc64(data, crc: int = 0) -> int:
             registers ^= row
         state = _crc_fold(registers)
         words = words[rows.size :]
-    if spare:
-        # byte j of the last partial word still passes spare - 1 - j bytes
-        state ^= int.from_bytes(octets[-spare:].tobytes(), "little")
-        shifted = state >> (8 * spare)
-        for j in range(spare):
-            shifted ^= _CRC_TABLES[spare - 1 - j][(state >> (8 * j)) & 0xFF]
-        state = shifted
+    for octet in octets[octets.size - spare :].tolist():
+        state = _CRC_TABLES[0][(state ^ octet) & 0xFF] ^ (state >> 8)
     return state ^ _CRC_MASK
 
 
@@ -473,7 +481,7 @@ def _payload_spec(kind: str, bandwidth: int, channels: int):
     n = 2 * bandwidth
     if cls is WignerTables:
         # the ring weights, then one (2l+1)^2 block per ring and degree
-        return cls, dtype, (n * (1 + so3_coefficient_count(bandwidth)),)
+        return cls, dtype, (n * (1 + SO3Spectrum._count(bandwidth)),)
     if dtype == "f64":
         return cls, dtype, (channels,) + (n,) * cls._axes
     return cls, dtype, (channels, cls._count(bandwidth))
@@ -606,12 +614,8 @@ def read_container(path):
 
     if cls is not WignerTables:
         return cls(bandwidth, flat.reshape(shape))
+    # degree l's block starts at n (1 + count(l)), views of the one payload
     n = 2 * bandwidth
-    # the table blocks are views of the one payload buffer
-    blocks = []
-    pos = n
-    for l in range(bandwidth):
-        width = 2 * l + 1
-        blocks.append(flat[pos : pos + width * width * n].reshape(n, width, width))
-        pos += width * width * n
-    return WignerTables(bandwidth, blocks, flat[:n])
+    weights, *blocks = np.split(flat, n * (1 + SO3Spectrum._count(np.arange(bandwidth))))
+    d = [blk.reshape(n, 2 * l + 1, 2 * l + 1) for l, blk in enumerate(blocks)]
+    return WignerTables(bandwidth, d, weights)
