@@ -172,6 +172,13 @@ class _SpectrumBase:
             )
         return type(self)(b_out, self.data[:, : self._count(b_out)].copy())
 
+    def blocks(self, degree: int) -> np.ndarray:
+        """View of degree ``degree`` across channels, ``(K,) + (2l+1,) * _axes``."""
+        if degree not in range(b := self.bandwidth):
+            raise IndexError(f"degree {degree} is outside 0..{b - 1} at bandwidth {b}")
+        block = self.data[:, self._count(degree) : self._count(degree + 1)]
+        return block.reshape(self.channels, *(2 * degree + 1,) * self._axes)
+
     def block(self, channel: int, degree: int) -> np.ndarray:
         return self.blocks(degree)[channel]
 
@@ -191,27 +198,21 @@ class _SpectrumBase:
 
 
 class S2Spectrum(_SpectrumBase):
+    _axes = 1
+
     @staticmethod
     def _count(l):
         """Where degree l's block starts (l an int or int array): ``l**2``."""
         return l * l
 
-    def blocks(self, degree: int) -> np.ndarray:
-        """View of degree ``degree`` across channels, shape ``(K, 2l+1)``."""
-        return self.data[:, self._count(degree) : self._count(degree + 1)]
-
 
 class SO3Spectrum(_SpectrumBase):
+    _axes = 2
+
     @staticmethod
     def _count(l):
         """Where degree l's block starts (l an int or int array): ``l(4l**2-1)/3``."""
         return l * (4 * l * l - 1) // 3
-
-    def blocks(self, degree: int) -> np.ndarray:
-        """View of degree ``degree`` across channels, ``(K, 2l+1, 2l+1)``."""
-        n = 2 * degree + 1
-        block = self.data[:, self._count(degree) : self._count(degree + 1)]
-        return block.reshape(self.channels, n, n)
 
 
 def _resolve_tables(

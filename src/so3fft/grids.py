@@ -52,13 +52,18 @@ GIMBAL_EPS = 1e-9
 _TWO_PI = 2.0 * np.pi
 
 
+def _checked_int(value, name: str, low: int) -> int:
+    """``value`` as an int: ``TypeError`` unless an integer, ``ValueError`` below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def validate_bandwidth(bandwidth) -> int:
     """Return ``bandwidth`` as an int, rejecting anything that is not >= 1."""
-    if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, np.integer)):
-        raise TypeError(f"bandwidth must be an integer, got {bandwidth!r}")
-    if bandwidth < 1:
-        raise ValueError(f"bandwidth must be >= 1, got {bandwidth}")
-    return int(bandwidth)
+    return _checked_int(bandwidth, "bandwidth", 1)
 
 
 def angle_samples(bandwidth: int) -> np.ndarray:

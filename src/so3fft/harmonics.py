@@ -16,15 +16,16 @@ under the normalised Haar measure.  Spherical harmonics are the ``n = 0``
 column, ``Y^l_m(alpha, beta) = D^l_m0(alpha, beta, 0)``, so ``Y^1_0 = cos
 beta`` and ``<Y^l_m, Y^l_m> = 1/(2l+1)``.
 
-Evaluation uses a three-term recurrence in the degree for fixed ``(m, n)``,
-seeded at ``l = max(|m|, |n|)``: at every degree l >= 1 closed forms give
-the boundary rows and columns, and ``d^1_00 = cos beta`` is the one
-interior seed.  Everything is double precision; the recurrence keeps
-entries bounded by 1 (up to rounding) out to l of a few hundred.
-
-Stacks and tables hold every column ``n`` (``columns="all"``, the rotation
-group) or the ``n = 0`` column alone (``"zero"``, all the sphere reads: 4.2
-MB of sampled table at b = 64 instead of 358 MB).
+One recurrence evaluates everything: a three-term recurrence in the degree,
+run on the row ``m = s`` of each shell ``s = max(|m|, |n|)``, one step for
+every row at once, each row seeded at ``l = s`` by the closed form of
+``d^s_sn`` (and shell 0 also by ``d^1_00 = cos beta``).  The fast transforms
+read those rows for ``n = 0..s``; the full blocks are read off the rows
+``n = -s..s`` by ``d^l_{-m,-n} = (-1)^(m-n) d^l_mn = d^l_nm``.  Everything is
+double precision; entries stay bounded by 1 (up to rounding) out to l of a
+few hundred.  Stacks and tables hold every column ``n`` (``columns="all"``,
+the rotation group) or the ``n = 0`` column alone (``"zero"``, all the
+sphere reads: 4.2 MB of sampled table at b = 64 instead of 358 MB).
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grids import Rotation, beta_samples, ring_weights, validate_bandwidth
+from .grids import Rotation, _checked_int, beta_samples, ring_weights, validate_bandwidth
 
 __all__ = [
     "COLUMN_SETS",
@@ -63,18 +64,64 @@ class ResourceLimitError(RuntimeError):
     """Raised when an estimated allocation exceeds the configured cap."""
 
 
-def _validate_degree(l_max) -> int:
-    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)):
-        raise TypeError(f"l_max must be an integer, got {l_max!r}")
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
-    return int(l_max)
-
-
 def _validate_columns(columns) -> str:
     if columns not in COLUMN_SETS:
         raise ValueError(f"columns must be one of {COLUMN_SETS}, got {columns!r}")
     return columns
+
+
+def _shell_rows(l_max: int, betas: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """``d^l_sn(beta_j)`` on the row m = s of each shell s = max(|m|, |n|),
+    n = lo*s..hi*s, as ``[(l, s, n), j]`` (degree l holds the rows s <= l by
+    shell, then n), and where each degree starts.  Each row starts at l = s
+    from the closed form of d^s_sn (shell 0 also from d^1_00 = cos beta);
+    then, for all rows at once, (l-1) sqrt((l^2-s^2)(l^2-n^2)) d^l = (2l-1)
+    ((l-1) l cos beta - s n) d^{l-1} - l sqrt(((l-1)^2-s^2)((l-1)^2-n^2)) d^{l-2}."""
+    x = np.cos(betas)
+    c_half, s_half = np.cos(0.5 * betas)[:, None], np.sin(0.5 * betas)[:, None]
+    s, n = np.array([(q, v) for q in range(l_max + 1) for v in range(lo * q, hi * q + 1)]).T
+    end = np.searchsorted(s, np.arange(l_max + 1), side="right")  # the rows s <= l
+    start = np.cumsum(end) - end
+    flat = np.empty((end.sum(), betas.size))
+    for l, a in enumerate(np.r_[0, end[:-1]]):  # a: the rows s < l
+        # d^l_ln = (-1)^(l-n) sqrt(C(2l, l-n)) cos^(l+n)(beta/2) sin^(l-n)(beta/2)
+        v = n[a : end[l]]
+        sign = np.where((l - v) % 2, -1.0, 1.0)
+        root = sign * np.sqrt([float(math.comb(2 * l, l - u)) for u in v])
+        flat[start[l] + a : start[l] + end[l]] = (root * c_half ** (l + v) * s_half ** (l - v)).T
+        if l == 1:
+            flat[start[1]] = x  # d^1_00 = cos beta on the row (0, 0)
+        elif l > 1:  # d^{l-2} exists on the rows s < l - 1
+            z, sa, na = end[l - 2], s[:a, None], n[:a, None]
+            rec = np.subtract((l - 1) * l * x, sa * na, out=flat[start[l] : start[l] + a])
+            rec *= 2 * l - 1
+            rec *= flat[start[l - 1] : start[l - 1] + a]
+            low = ((l - 1) ** 2 - sa[:z] ** 2) * ((l - 1) ** 2 - na[:z] ** 2)
+            rec[:z] -= l * np.sqrt(low) * flat[start[l - 2] : start[l - 2] + z]
+            rec /= (l - 1) * np.sqrt((l * l - sa * sa) * (l * l - na * na))
+    return flat, start
+
+
+@lru_cache(maxsize=16)
+def _unfold(l_max: int, full: bool) -> tuple[np.ndarray, ...]:
+    """Where each entry (l, m, n) of the blocks, by degree and row-major,
+    sits among :func:`_shell_rows`' rows n = -s..s (n = 0 if not ``full``),
+    the sign it takes there, and where each degree ends: the row m = s as it
+    is, d^l_{-s,n} = (-1)^(s+n) d^l_{s,-n}, d^l_ms = (-1)^(m-s) d^l_sm
+    and d^l_{m,-s} = d^l_{s,-m}."""
+    size = (2 * np.arange(l_max + 1) + 1) ** (1 + full)  # entries of each block
+    l = np.repeat(np.arange(l_max + 1), size)
+    i, width = np.arange(size.sum()) - (np.cumsum(size) - size)[l], 1 + 2 * l * full
+    m, n = i // width - l, i % width - l * full
+    s = np.maximum(np.abs(m), np.abs(n))
+    edge = [m == s, m == -s, n == s]
+    row = np.select(edge, [n, -n, m], -m)
+    sign = 1.0 - 2.0 * (np.select(edge, [0, s + n, m - s], 0) & 1)
+    rows = (np.arange(l_max + 1) + 1) ** (1 + full)  # the rows s <= l
+    maps = ((np.cumsum(rows) - rows)[l] + s * s * full + s + row, sign, np.cumsum(size)[:-1])
+    for a in maps:
+        a.flags.writeable = False  # shared by every caller
+    return maps
 
 
 def wigner_d_stack(l_max: int, betas, columns: str = "all") -> list[np.ndarray]:
@@ -85,55 +132,16 @@ def wigner_d_stack(l_max: int, betas, columns: str = "all") -> list[np.ndarray]:
     runs on the ``n = 0`` column alone, the normalised associated Legendre
     functions ``sqrt((l-m)!/(l+m)!) P^m_l(cos beta)``, in O(l) per angle.
     """
-    l_max = _validate_degree(l_max)
+    l_max = _checked_int(l_max, "l_max", 0)
     full = _validate_columns(columns) == "all"
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
     if betas.ndim != 1:
         raise ValueError("betas must be one-dimensional")
-    nb = betas.shape[0]
-    x = np.cos(betas)
-    c_half = np.cos(0.5 * betas)
-    s_half = np.sin(0.5 * betas)
-
-    blocks = [np.ones((nb, 1, 1))]
-    inner = slice(1, -1) if full else slice(None)  # the columns |n| < l
-    for l in range(1, l_max + 1):
-        j = np.arange(-l, l + 1) if full else np.zeros(1, dtype=int)
-        d = np.empty((nb, 2 * l + 1, j.size))
-
-        # interior |m|, |n| <= l-1: d^1_00 = cos beta, then a three-term
-        # recurrence in the degree, in place: (c_prev * d^{l-1} - c_prev2 *
-        # d^{l-2}) / lhs, d^{l-2} zero-padded
-        if l == 1:
-            d[:, 1:-1, inner] = x[:, None, None]
-        else:
-            mi = np.arange(-(l - 1), l, dtype=np.float64)
-            mm = mi[:, None]
-            nn = mi[None, :] if full else np.zeros((1, 1))
-            lhs = (l - 1) * np.sqrt((l * l - mm * mm) * (l * l - nn * nn))
-            low = (l - 1) ** 2 - mm * mm
-            low = low * ((l - 1) ** 2 - nn * nn)
-            c_prev2 = l * np.sqrt(np.maximum(low, 0.0))
-            rec = np.subtract((l - 1) * l * x[:, None, None], mm * nn, out=d[:, 1:-1, inner])
-            rec *= 2 * l - 1
-            rec *= blocks[l - 1]
-            rec[:, 1:-1, inner] -= c_prev2[1:-1, inner] * blocks[l - 2]
-            rec /= lhs
-
-        # boundary rows m = +/-l and columns n = +/-l: closed forms, with
-        # sqrt(C(2l, l-n)) from exact integer binomials
-        cj = c_half[:, None]
-        sj = s_half[:, None]
-        root = np.sqrt([float(math.comb(2 * l, l - n)) for n in j])
-        sign_top = np.where((l - j) % 2 == 0, 1.0, -1.0)
-        d[:, 2 * l, :] = sign_top * root * cj ** (l + j) * sj ** (l - j)
-        d[:, 0, :] = root * cj ** (l - j) * sj ** (l + j)
-        if full:
-            sign_neg = np.where((l + j) % 2 == 0, 1.0, -1.0)
-            d[:, :, 2 * l] = root * cj ** (l + j) * sj ** (l - j)
-            d[:, :, 0] = sign_neg * root * cj ** (l - j) * sj ** (l + j)
-        blocks.append(d)
-    return blocks
+    index, sign, ends = _unfold(l_max, full)
+    stack = _shell_rows(l_max, betas, -full, full)[0].T[:, index]
+    stack *= sign
+    blocks = np.split(stack, ends, axis=1)
+    return [blk.reshape(betas.size, 2 * l + 1, 2 * l * full + 1) for l, blk in enumerate(blocks)]
 
 
 def wigner_d_matrices(l_max: int, beta: float) -> list[np.ndarray]:
@@ -206,19 +214,23 @@ def estimate_table_bytes(bandwidth: int, columns: str = "all") -> int:
 
 @dataclass(frozen=True, eq=False)
 class WignerTables:
-    """``d^l`` samples at the grid colatitudes plus the ring weights.
-
-    ``d[l]`` is shaped ``(2b, 2l+1, 2l+1)`` with the ring index leading, so
-    the beta contraction in the transforms streams each degree sequentially;
-    with ``columns="zero"`` it is the ``(2b, 2l+1, 1)`` n = 0 column.
-    ``weights`` are the colatitude ring weights (summing to 1); the uniform
-    alpha/gamma factors are supplied by the transforms themselves.
-    """
+    """The colatitude ring ``weights`` (summing to 1; the transforms supply
+    the uniform alpha/gamma factors) and two layouts of the ``d^l`` samples
+    at the grid colatitudes, each built when first read: the fast
+    transforms read only :attr:`shells` (built on their first call), and
+    :attr:`d` serves the direct path, the ``wigner-tables`` container and
+    the tests."""
 
     bandwidth: int
-    d: list[np.ndarray] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     columns: str = "all"
+
+    @cached_property
+    def d(self) -> list[np.ndarray]:
+        """``d[l]`` shaped ``(2b, 2l+1, 2l+1)`` with the ring index leading,
+        so the beta sums stream each degree sequentially; with
+        ``columns="zero"`` it is the ``(2b, 2l+1, 1)`` n = 0 column."""
+        return wigner_d_stack(self.bandwidth - 1, beta_samples(self.bandwidth), self.columns)
 
     @cached_property
     def shells(self) -> list[np.ndarray]:
@@ -226,22 +238,13 @@ class WignerTables:
         (n = 0 alone for the n = 0 column): all the fast transforms read of
         each shell s = max(m, |n|), through d^l_ms = (-1)^(m-s) d^l_sm,
         d^l_{m,-s} = d^l_{s,-m} and d^l_{s,-n}(beta) = (-1)^(l+s) d^l_sn(pi -
-        beta), as the rings are mirror-symmetric.  Built on first use, about
-        an eighth of ``d``, and counted against :func:`build_tables`' cap."""
-        b = self.bandwidth
-        s = np.arange(b)
-        rows = s + 1 if self.columns == "all" else np.ones(b, dtype=np.intp)
-        size = rows * (b - s)  # rings of 2b samples per shell
-        start = np.cumsum(size) - size
-        flat = np.empty((size.sum(), 2 * b))
-        # every shell row (s, n), by shell: those of degree l are a prefix
-        sh, n = np.nonzero(np.arange(rows[-1]) < rows[:, None])
-        at = start[sh] + n * (b - sh) - sh
-        for l, blk in enumerate(self.d):  # blk[j, m + l, n + c]
-            k = np.searchsorted(sh, l, side="right")
-            flat[at[:k] + l] = blk.transpose(1, 2, 0)[l + sh[:k], n[:k] + blk.shape[2] // 2]
-        parts = np.split(flat, start[1:])
-        return [p.reshape(r, b - q, 2 * b) for q, (p, r) in enumerate(zip(parts, rows))]
+        beta), as the rings are mirror-symmetric.  About an eighth of ``d``,
+        and counted against :func:`build_tables`' cap."""
+        b, half = self.bandwidth, int(self.columns == "all")
+        flat, start = _shell_rows(b - 1, beta_samples(b), 0, half)
+        k = 1 + half * np.arange(b)  # rows per shell, each degree holding them in turn
+        first = np.cumsum(k) - k
+        return [flat[start[s:] + first[s] + np.arange(k[s])[:, None]] for s in range(b)]
 
 
 def build_tables(
@@ -250,14 +253,10 @@ def build_tables(
     memory_cap_bytes: int = DEFAULT_TABLE_MEMORY_CAP,
     columns: str = "all",
 ) -> WignerTables:
-    """Precompute the sampled Wigner-d tables for one bandwidth and
-    column set.
-
-    The memory footprint, with the shell layout the fast transforms add
-    (:attr:`WignerTables.shells`), is estimated up front; exceeding
-    ``memory_cap_bytes`` raises :class:`ResourceLimitError` before anything
-    is allocated.
-    """
+    """The Wigner-d tables for one bandwidth and column set: the ring
+    weights now, the ``d^l`` layouts on first read.  Their footprint, ``d``
+    plus :attr:`WignerTables.shells`, is estimated first; over
+    ``memory_cap_bytes`` it raises :class:`ResourceLimitError`."""
     b = validate_bandwidth(bandwidth)
     rows = b * (b + 1) * (b + 2) // 6 if columns == "all" else b * (b + 1) // 2
     estimate = estimate_table_bytes(b, columns) + 8 * 2 * b * rows
@@ -266,12 +265,7 @@ def build_tables(
             f"d tables and shells at bandwidth {b} need ~{estimate / 1e6:.0f} MB, "
             f"over the cap of {memory_cap_bytes / 1e6:.0f} MB"
         )
-    return WignerTables(
-        bandwidth=b,
-        d=wigner_d_stack(b - 1, beta_samples(b), columns),
-        weights=ring_weights(b),
-        columns=columns,
-    )
+    return WignerTables(b, ring_weights(b), columns)
 
 
 _TABLE_CACHE: OrderedDict[tuple[int, str], WignerTables] = OrderedDict()

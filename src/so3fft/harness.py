@@ -37,7 +37,7 @@ from .gft import (
     so3_coefficient_count,
     so3_fft_forward,
 )
-from .grids import random_rotation, validate_bandwidth
+from .grids import _checked_int, random_rotation, validate_bandwidth
 from .harmonics import ResourceLimitError, cached_tables, estimate_table_bytes
 from .oracle import rotate_so3_by_resampling
 
@@ -75,10 +75,9 @@ class EquivarianceConfig:
     zero_inputs: bool = False
 
     def __post_init__(self) -> None:
-        validate_bandwidth(self.bandwidth)
-        for name, low in (("layers", 1), ("channels", 1), ("trials", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        counts = (("bandwidth", 1), ("layers", 1), ("channels", 1), ("trials", 1), ("seed", 0))
+        for name, low in counts:  # stored as ints, numpy integers included
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
         if self.rotation_source not in _ROTATION_SOURCES:
             raise ValueError(
                 f"rotation_source must be one of {_ROTATION_SOURCES}, "

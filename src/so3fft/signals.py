@@ -617,5 +617,6 @@ def read_container(path):
     # degree l's block starts at n (1 + count(l)), views of the one payload
     n = 2 * bandwidth
     weights, *blocks = np.split(flat, n * (1 + SO3Spectrum._count(np.arange(bandwidth))))
-    d = [blk.reshape(n, 2 * l + 1, 2 * l + 1) for l, blk in enumerate(blocks)]
-    return WignerTables(bandwidth, d, weights)
+    tables = WignerTables(bandwidth, weights)
+    vars(tables)["d"] = [blk.reshape(n, 2 * l + 1, 2 * l + 1) for l, blk in enumerate(blocks)]
+    return tables
