@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .grids import _checked_int
+
 THREADS_ENV = "SO3FFT_THREADS"
 
 
@@ -21,14 +23,9 @@ def resolve_threads(requested: int | None = None) -> int:
         try:
             requested = int(raw)
         except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if requested < 0:
-        raise ValueError(f"thread count must be >= 0, got {requested}")
-    if requested == 0:
-        return max(1, os.cpu_count() or 1)
-    return requested
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    # an int, numpy integers included; 0 means auto
+    return _checked_int(requested, "thread count", 0) or max(1, os.cpu_count() or 1)
 
 
 def parallel_map(fn, items, threads: int):

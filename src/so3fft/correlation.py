@@ -26,7 +26,7 @@ from .gft import (
     so3_fft_forward,
     so3_fft_inverse,
 )
-from .grids import Rotation, make_so3_grid
+from .grids import Rotation, _checked_int, make_so3_grid
 from .harmonics import WignerTables, cached_tables, wigner_D_matrices
 
 __all__ = [
@@ -111,8 +111,7 @@ def _split_bank(bank, k_in: int, out_channels: int | None) -> int:
                 f"signal's {k_in}"
             )
         return bank.channels // k_in
-    if out_channels < 1:
-        raise ValueError(f"out_channels must be >= 1, got {out_channels}")
+    out_channels = _checked_int(out_channels, "out_channels", 1)
     if bank.channels != out_channels * k_in:
         raise ValueError(
             f"bank has {bank.channels} channels, expected "

@@ -21,7 +21,10 @@ Each transform has two implementations with identical results:
   tables that ``WignerTables.shells`` caches.  A sphere signal is the
   rotation grid with a single gamma sample, whose only column is ``n = 0``
   (``Y^l_m = D^l_m0``), so by default it reads the n = 0 column tables
-  (``cached_tables(b, "zero")``); full tables passed in also serve;
+  (``cached_tables(b, "zero")``); full tables passed in also serve.
+  Every FFT writes a contiguous ``[channel, beta, m, n mod G]`` array, with
+  column n at index ``n mod G``, where the FFT leaves it; each forward GEMM
+  reads a copy of its part, and the inverse's GEMM grid is copied in once;
 * the direct path (``*_dft_*``), one engine for both domains in the same
   way: explicit weighted sums of the samples against the sampled basis
   functions, ring by ring, with no FFT anywhere.
@@ -48,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import angle_samples, validate_bandwidth
+from .grids import _checked_int, angle_samples, validate_bandwidth
 from .harmonics import WignerTables, cached_tables
 
 __all__ = [
@@ -155,8 +158,7 @@ class _SpectrumBase:
     @classmethod
     def zeros(cls, bandwidth: int, channels: int = 1):
         b = validate_bandwidth(bandwidth)
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
+        channels = _checked_int(channels, "channels", 1)
         return cls(b, np.zeros((channels, cls._count(b)), dtype=np.complex128))
 
     def copy(self):
@@ -264,16 +266,16 @@ def _synthesized(real: np.ndarray, residue: float, signal_cls):
 # fast paths: half-spectrum FFT over alpha, shell products over beta
 # ---------------------------------------------------------------------------
 
-def _shell_parts(s: int, c: int) -> list[tuple]:
+def _shell_parts(s: int, gammas: int) -> list[tuple]:
     """Each part of shell s = max(m, |n|), m >= 0: the rows of ``shells[s]``
-    it reads, whether on the mirrored rings, and its grid index (m, n + c)."""
-    if c == 0:  # the sphere's pair (s, 0) reads the row n = 0
+    it reads, whether on the mirrored rings, and its grid index (m, n mod G)."""
+    if gammas == 1:  # the sphere's pair (s, 0) reads the row n = 0
         return [(slice(0, 1), False, s, slice(0, 1))]
     return [
-        (slice(0, s + 1), False, s, slice(c, c + s + 1)),
-        (slice(s, 0, -1), True, s, slice(c - s, c)),  # n < 0 reads row -n
-        (slice(0, s), False, slice(0, s), c + s),  # d^l_ms = (-1)^(m-s) d^l_sm
-        (slice(0, s), True, slice(0, s), c - s),  # d^l_{m,-s} = d^l_{s,-m}
+        (slice(0, s + 1), False, s, slice(0, s + 1)),
+        (slice(s, 0, -1), True, s, slice(gammas - s, gammas)),  # n < 0 reads row -n
+        (slice(0, s), False, slice(0, s), s),  # d^l_ms = (-1)^(m-s) d^l_sm
+        (slice(0, s), True, slice(0, s), -s),  # d^l_{m,-s} = d^l_{s,-m}
     ]
 
 
@@ -284,17 +286,17 @@ def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     (-1)^(m-n) of the symmetry, the sign by which each reads its shell row
     and 2l+1."""
     b = bandwidth
-    so3 = spectrum_cls is SO3Spectrum
-    c = b - 1 if so3 else 0
-    grid = np.mgrid[0:b, -c : c + 1]  # [(m, n), m, n + c]
-    parts = [p[2:] for s in range(b) for p in _shell_parts(s, c)]
+    gammas = 2 * b if spectrum_cls is SO3Spectrum else 1
+    n = np.fft.fftfreq(gammas, 1 / gammas)  # the FFT leaves column n at n mod G
+    grid = np.array(np.meshgrid(range(b), n, indexing="ij"), int)  # [(m, n), m, n mod G]
+    parts = [p[2:] for s in range(b) for p in _shell_parts(s, gammas)]
     m, n = np.concatenate([grid[:, gm, gn].reshape(2, -1) for gm, gn in parts], 1)
     s = np.maximum(m, np.abs(n))
     span = b - s
     m, n, s = (np.repeat(a, span) for a in (m, n, s))
     l = s + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
     # block l holds (m, n) row-major from _count(l), (l, 0, 0) at its centre
-    width = 2 * l + 1 if so3 else 1
+    width = 2 * l + 1 if gammas > 1 else 1
     centre = (spectrum_cls._count(l) + spectrum_cls._count(l + 1)) // 2
     pos = centre + m * width + n
     mirror = centre - m * width - n
@@ -321,17 +323,16 @@ def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
     return coeffs, _guarded(defect, np.max(np.abs(d)), "in the spectrum")
 
 
-def _shell_products(t: WignerTables, grid: np.ndarray, coeffs: np.ndarray):
-    """Yield the table, ``grid`` ``[m, n + G//2, j, (channel, re/im)]`` and
-    ``coeffs`` ``[(pair, l), (channel, re/im)]`` rows of each part of each
-    shell: one unpadded real GEMM, as all its pairs cover l = s..b-1."""
-    b, c, q = t.bandwidth, grid.shape[1] // 2, 0
+def _shell_products(t: WignerTables, gammas: int, coeffs: np.ndarray):
+    """Yield the table rows, grid index ``(m, n mod G)`` and ``coeffs``
+    ``[(pair, l), (channel, re/im)]`` rows of each part of each shell: one
+    unpadded real GEMM, as all its pairs cover l = s..b-1."""
+    b, q = t.bandwidth, 0
     for s, rows in enumerate(t.shells):  # rows[n, l - s, j] = d^l_sn(beta_j)
-        for r, mirrored, gm, gn in _shell_parts(s, c):
-            g = grid[gm, gn]
-            p = len(g) * (b - s)
+        for r, mirrored, gm, gn in _shell_parts(s, gammas):
             r = rows[r, :, ::-1] if mirrored else rows[r]  # at pi - beta_j
-            yield r, g, coeffs[q : q + p].reshape(len(g), b - s, coeffs.shape[1])
+            p = len(r) * (b - s)
+            yield r, (gm, gn), coeffs[q : q + p].reshape(len(r), b - s, coeffs.shape[1])
             q += p
 
 
@@ -341,16 +342,15 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
     k, n, _, gammas = samples.shape
     b = n // 2
     t = _resolve_tables(b, tables, gammas)
-    # [m, n, j, channel]: the conjugate alpha/gamma averages, so plain rffts
-    # serve; m = 0..b at index m, n at n + G // 2 by the (-1)^g factor
-    fc = np.empty((b + 1, gammas, n, k), dtype=np.complex128)
-    np.fft.rfft(samples, axis=2, norm="forward", out=fc.transpose(3, 2, 0, 1))
-    fc *= ((-1.0) ** np.arange(gammas))[:, None, None] * t.weights[:, None]
-    np.fft.fft(fc, axis=1, norm="forward", out=fc)
+    # [channel, j, m, n mod G]: the conjugate alpha/gamma averages, so plain
+    # rffts serve; each part's GEMM reads its weighted [pair, j, channel] copy
+    fc = np.fft.rfft(samples, axis=2, norm="forward")
+    np.fft.fft(fc, axis=3, norm="forward", out=fc)
     pos, mirror, parity, sign, _ = _shell_order(b, spectrum_cls)
     coeffs = np.empty((len(pos), 2 * k))
-    for rows, grid, c in _shell_products(t, fc.view(np.float64), coeffs):
-        np.matmul(rows, grid, out=c)
+    for rows, (gm, gn), c in _shell_products(t, gammas, coeffs):
+        grid = np.multiply(fc[:, :, gm, gn].T, t.weights[:, None], order="C")
+        np.matmul(rows, grid.view(np.float64), out=c)
     coeffs = coeffs.view(np.complex128)
     np.conjugate(coeffs, out=coeffs)
     coeffs *= sign[:, None]
@@ -371,15 +371,15 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     sign, deg = _shell_order(b, type(spectrum))[3:]
     np.conjugate(coeffs, out=coeffs)
     coeffs *= (sign * deg)[:, None]
-    # the conjugate grid of the forward (m = b left zero; irfft takes the rows
-    # m < 0 as the conjugates of the rows m > 0: the signal is real)
+    # the forward's conjugate grid, [m, n mod G, j, channel] (m = b left zero;
+    # irfft takes the rows m < 0 as the conjugates of the rows m > 0)
     fc = np.zeros((b + 1, gammas, 2 * b, k), dtype=np.complex128)
-    for rows, grid, c in _shell_products(t, fc.view(np.float64), coeffs.view(np.float64)):
-        np.matmul(rows.transpose(0, 2, 1), c, out=grid)
-    np.fft.ifft(fc, axis=1, norm="forward", out=fc)
-    fc *= ((-1.0) ** np.arange(gammas))[:, None, None]
-    real = np.empty((k, 2 * b, 2 * b, gammas))
-    np.fft.irfft(fc, 2 * b, axis=0, norm="forward", out=real.transpose(2, 3, 1, 0))
+    for rows, at, c in _shell_products(t, gammas, coeffs.view(np.float64)):
+        np.matmul(rows.transpose(0, 2, 1), c, out=fc.view(np.float64)[at])
+    # one copy to [channel, j, m, n mod G], so both FFTs write in memory order
+    fc = fc.transpose(3, 2, 0, 1).copy()
+    np.fft.ifft(fc, axis=3, norm="forward", out=fc)
+    real = np.fft.irfft(fc, 2 * b, axis=2, norm="forward")
     return _synthesized(real, residue, signal_cls)
 
 

@@ -33,6 +33,7 @@ from .gft import (
     _KIND_TYPES,
     _TRANSFORMS,
     SO3Signal,
+    SO3Spectrum,
     bandlimit_so3,
     so3_coefficient_count,
     so3_fft_forward,
@@ -130,8 +131,8 @@ def estimate_run_bytes(config: EquivarianceConfig) -> int:
     # a trial keeps a handful of K-channel grids plus their complex FFT
     # workspace alive at once; 12 real copies is a generous envelope
     working = 12 * k * n**3 * 8
-    # the widest transform is the bank's own forward pass
-    working += 3 * k * k * n**3 * 16
+    # the bank is transformed k filters (one output channel) at a time
+    working += 3 * k * n**3 * 16
     return tables + banks + working
 
 
@@ -155,10 +156,13 @@ def run_equivariance(
     filter_rng = np.random.default_rng((config.seed, 0, 0))
     banks = []
     for _ in range(config.layers):
-        raw = SO3Signal(b, filter_rng.standard_normal((k * k, n, n, n)))
-        # keeping the spectrum IS the bandlimited filter; transforming the
-        # bank once here instead of once per trial dominates the runtime
-        spec = so3_fft_forward(raw, tables)
+        # keeping the spectrum IS the bandlimited filter, transformed once here
+        # one output channel (k filters) at a time: the draws are those of one
+        # (k*k, ...) draw, the working set that of a k-channel transform
+        spec = SO3Spectrum.zeros(b, k * k)
+        for o in range(k):
+            raw = SO3Signal(b, filter_rng.standard_normal((k, n, n, n)))
+            spec.data[o * k : (o + 1) * k] = so3_fft_forward(raw, tables).data
         # flatten each degree to unit RMS: the transform of white grid noise
         # is colored, and without this every layer low-passes the stack a
         # little more, which drags the ReLU drift DOWN with depth instead of
@@ -256,8 +260,7 @@ def run_bench(bandwidths, kind: str = "so3", repetitions: int = 5) -> list[dict]
     """
     if kind not in DIRECT_BENCH_CAPS:
         raise ValueError(f"kind must be 's2' or 'so3', got {kind!r}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    repetitions = _checked_int(repetitions, "repetitions", 1)
 
     cap = DIRECT_BENCH_CAPS[kind]
     signal_cls = _KIND_TYPES[kind][0]
