@@ -156,7 +156,7 @@ def run_equivariance(
     filter_rng = np.random.default_rng((config.seed, 0, 0))
     banks = []
     for _ in range(config.layers):
-        # keeping the spectrum IS the bandlimited filter, transformed once here
+        # keeping the spectrum IS the bandlimited filter, transformed once here,
         # one output channel (k filters) at a time: the draws are those of one
         # (k*k, ...) draw, the working set that of a k-channel transform
         spec = SO3Spectrum.zeros(b, k * k)

@@ -58,9 +58,9 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-# tracemalloc peaks of the fast SO(3) transforms at b = 8, k = 20 with the
-# FFTs writing through transposed views (numpy 2.4), the layout this one
-# replaced; the contiguous layout must not hold more
+# tracemalloc peaks of the fast SO(3) transforms at b = 8, k = 20 when their
+# FFTs wrote through transposed views (measured with numpy 2.4); writing
+# contiguous arrays may not hold more than 5% above them
 STRIDED_PEAKS = {"forward": 1_433_472, "inverse": 1_595_746}
 
 
