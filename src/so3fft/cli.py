@@ -19,7 +19,7 @@ from .correlation import (
     rotate_so3_spectral,
 )
 from .gft import _KIND_TYPES, _TRANSFORMS, GuardError, S2Signal, SO3Signal
-from .grids import Rotation, validate_bandwidth
+from .grids import Rotation, _checked_int
 from .harness import (
     EquivarianceConfig,
     run_bench,
@@ -53,32 +53,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _bandwidth_arg(text: str) -> int:
-    # text that is not an integer goes on as text, for validate_bandwidth
-    # to reject with its own message
-    with contextlib.suppress(ValueError):
-        text = int(text)
-    try:
-        return validate_bandwidth(text)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _count_arg(minimum: int):
-    """argparse type for an integer count of at least ``minimum``."""
+def _count_arg(name: str, minimum: int):
+    """argparse type for an integer ``name`` of at least ``minimum``."""
 
     def parse(text: str) -> int:
+        # text that is not an integer goes on as text, for _checked_int to
+        # reject with its own message
+        with contextlib.suppress(ValueError):
+            text = int(text)
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}"
-            ) from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
+            return _checked_int(text, name, minimum)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
+
+
+_bandwidth_arg = _count_arg("bandwidth", 1)
 
 
 def _bandwidth_list_arg(text: str) -> list[int]:
@@ -236,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True, help="signal container")
     p.add_argument("--output", required=True)
     p.add_argument("--bandwidth-out", type=_bandwidth_arg, default=None)
-    p.add_argument("--out-channels", type=_count_arg(1), default=None)
+    p.add_argument("--out-channels", type=_count_arg("out_channels", 1), default=None)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("rotate", help="rotate a signal container")
@@ -250,15 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivariance", help="rotate-vs-apply drift experiment")
     p.add_argument("--bandwidth", type=_bandwidth_arg, required=True)
-    p.add_argument("--layers", type=_count_arg(1), default=1)
-    p.add_argument("--channels", type=_count_arg(1), default=10)
-    p.add_argument("--trials", type=_count_arg(1), default=20)
+    p.add_argument("--layers", type=_count_arg("layers", 1), default=1)
+    p.add_argument("--channels", type=_count_arg("channels", 1), default=10)
+    p.add_argument("--trials", type=_count_arg("trials", 1), default=20)
     p.add_argument("--relu", action="store_true")
     p.add_argument("--rotation", choices=["spectral", "resampling"], default="spectral")
-    p.add_argument("--seed", type=_count_arg(0), default=0)
+    p.add_argument("--seed", type=_count_arg("seed", 0), default=0)
     p.add_argument(
         "--threads",
-        type=_count_arg(0),
+        type=_count_arg("threads", 0),
         default=None,
         metavar="N",
         help=f"worker cap for trial loops (0 = auto; default from ${THREADS_ENV})",
@@ -270,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time fast vs. direct transforms")
     p.add_argument("--kind", choices=["s2", "so3"], default="so3")
     p.add_argument("--bandwidths", type=_bandwidth_list_arg, default=[2, 4, 8])
-    p.add_argument("--repetitions", type=_count_arg(1), default=5)
+    p.add_argument("--repetitions", type=_count_arg("repetitions", 1), default=5)
     p.add_argument("--output", default=None, help="JSONL records path")
     p.set_defaults(func=_cmd_bench)
 

@@ -29,7 +29,8 @@ Each transform has two implementations with identical results:
   way: explicit weighted sums of the samples against the sampled basis
   functions, ring by ring, with no FFT anywhere.
   For small grids this is competitive; its sums share nothing with the fast
-  path beyond the sampled-basis tables.
+  path beyond the sampled-basis tables, and its forward is also the
+  oracle's projection (:mod:`.oracle`).
 
 The fast path analyses and synthesises only the rows ``m >= 0`` (a
 half-spectrum real FFT along alpha); its forward writes the rows ``m < 0``

@@ -227,28 +227,23 @@ class Rotation:
         return cls(float(a), float(b), float(g))
 
 
-def _z_matrix(t: np.ndarray) -> np.ndarray:
+def _plane_rotation(t, i: int, j: int) -> np.ndarray:
+    """Rotations by the angles ``t`` taking axis i toward axis j, ``t.shape + (3, 3)``."""
     t = np.asarray(t, dtype=np.float64)
-    c, s = np.cos(t), np.sin(t)
     out = np.zeros(t.shape + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    out[..., 2, 2] = 1.0
+    out[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    out[..., i, i] = out[..., j, j] = np.cos(t)
+    out[..., j, i] = np.sin(t)
+    out[..., i, j] = -out[..., j, i]
     return out
 
 
-def _y_matrix(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    c, s = np.cos(t), np.sin(t)
-    out = np.zeros(t.shape + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 2] = s
-    out[..., 1, 1] = 1.0
-    out[..., 2, 0] = -s
-    out[..., 2, 2] = c
-    return out
+def _z_matrix(t) -> np.ndarray:
+    return _plane_rotation(t, 0, 1)
+
+
+def _y_matrix(t) -> np.ndarray:
+    return _plane_rotation(t, 2, 0)
 
 
 def rotation_to_matrix(rotation: Rotation) -> np.ndarray:

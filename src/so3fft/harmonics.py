@@ -64,6 +64,13 @@ class ResourceLimitError(RuntimeError):
     """Raised when an estimated allocation exceeds the configured cap."""
 
 
+def _check_cap(need: int, what: str, cap: int = DEFAULT_TABLE_MEMORY_CAP) -> None:
+    """Refuse ``what``, needing ~``need`` bytes, before allocating it if over ``cap``."""
+    if need > cap:
+        msg = f"{what} need ~{need / 1e6:.0f} MB, over the cap of {cap / 1e6:.0f} MB"
+        raise ResourceLimitError(msg)
+
+
 def _validate_columns(columns) -> str:
     if columns not in COLUMN_SETS:
         raise ValueError(f"columns must be one of {COLUMN_SETS}, got {columns!r}")
@@ -124,6 +131,21 @@ def _unfold(l_max: int, full: bool) -> tuple[np.ndarray, ...]:
     return maps
 
 
+def _checked_stack(l_max, columns: str, points: int, complex_blocks: bool) -> tuple[int, bool]:
+    """``l_max`` as an int and whether ``columns`` is "all", refused before
+    anything is allocated if the stack's peak would pass the table cap: per
+    block entry, 11 doubles for :func:`_unfold`'s temporaries and, at each
+    angle, one for the stack (three with complex blocks), plus one per
+    :func:`_shell_rows` row and angle (above every tracemalloc peak measured)."""
+    l_max, full = _checked_int(l_max, "l_max", 0), _validate_columns(columns) == "all"
+    d = l_max + 1
+    entries = d * (2 * d - 1) * (2 * d + 1) // 3 if full else d * d
+    rows = d * (d + 1) * (2 * d + 1) // 6 if full else d * (d + 1) // 2
+    need = 8 * (entries * (11 + points * (1 + 2 * complex_blocks)) + rows * points)
+    _check_cap(need, f"Wigner blocks to l_max {l_max} at {points} angles")
+    return l_max, full
+
+
 def wigner_d_stack(l_max: int, betas, columns: str = "all") -> list[np.ndarray]:
     """All ``d^l(beta)`` blocks for ``l = 0..l_max`` at many angles at once.
 
@@ -132,11 +154,10 @@ def wigner_d_stack(l_max: int, betas, columns: str = "all") -> list[np.ndarray]:
     runs on the ``n = 0`` column alone, the normalised associated Legendre
     functions ``sqrt((l-m)!/(l+m)!) P^m_l(cos beta)``, in O(l) per angle.
     """
-    l_max = _checked_int(l_max, "l_max", 0)
-    full = _validate_columns(columns) == "all"
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
     if betas.ndim != 1:
         raise ValueError("betas must be one-dimensional")
+    l_max, full = _checked_stack(l_max, columns, betas.size, False)
     index, sign, ends = _unfold(l_max, full)
     stack = _shell_rows(l_max, betas, -full, full)[0].T[:, index]
     stack *= sign
@@ -166,6 +187,7 @@ def wigner_D_stack(
     gammas = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
     if not (alphas.shape == betas.shape == gammas.shape):
         raise ValueError("alpha/beta/gamma arrays must have matching shapes")
+    _checked_stack(l_max, columns, betas.size, True)
     d = wigner_d_stack(l_max, betas, columns)
     pa = _phases(l_max, alphas)
     pg = _phases(l_max, gammas)
@@ -260,11 +282,7 @@ def build_tables(
     b = validate_bandwidth(bandwidth)
     rows = b * (b + 1) * (b + 2) // 6 if columns == "all" else b * (b + 1) // 2
     estimate = estimate_table_bytes(b, columns) + 8 * 2 * b * rows
-    if estimate > memory_cap_bytes:
-        raise ResourceLimitError(
-            f"d tables and shells at bandwidth {b} need ~{estimate / 1e6:.0f} MB, "
-            f"over the cap of {memory_cap_bytes / 1e6:.0f} MB"
-        )
+    _check_cap(estimate, f"d tables and shells at bandwidth {b}", memory_cap_bytes)
     return WignerTables(b, ring_weights(b), columns)
 
 

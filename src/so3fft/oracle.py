@@ -1,15 +1,16 @@
 """Brute-force reference implementations used as ground truth in tests.
 
 Everything here is built from pointwise evaluation of the basis functions
-(:mod:`.harmonics`) and plain grid quadrature (:mod:`.grids`); none of it
-shares a numerical kernel with the transform fast paths, and there is no FFT
-anywhere below.  A sphere input is the gamma = 0 slice of the rotation
-grid: its point (alpha, beta) is the rotation (alpha, beta, 0), at which a
-sphere spectrum's basis functions ``Y^l_m = D^l_m0`` are evaluated, so
-resampling and the quadrature correlations each run one body for both
-domains.  The correlation oracles scale as (grid points) x (output
-rotations) and therefore refuse to run above a small bandwidth unless
-``force=True``.
+(:mod:`.harmonics`), plain grid quadrature (:mod:`.grids`) and, to project,
+the direct engine's dense sum of every grid sample against the sampled
+``conj(D^l_mn)`` (``gft._dft_forward``); none of it shares a numerical
+kernel with the transform fast paths, and there is no FFT anywhere below.
+A sphere input is the gamma = 0 slice of the rotation grid: its point
+(alpha, beta) is the rotation (alpha, beta, 0), at which a sphere
+spectrum's basis functions ``Y^l_m = D^l_m0`` are evaluated, so each
+oracle runs one body for both domains.  The correlation oracles scale as
+(grid points) x (output rotations) and therefore refuse to run above a
+small bandwidth unless ``force=True``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correlation import _check_pair
-from .gft import S2Signal, S2Spectrum, SO3Signal, SO3Spectrum, _guarded
+from .gft import S2Signal, S2Spectrum, SO3Signal, SO3Spectrum, _dft_forward, _guarded
 from .grids import (
     Rotation,
     angle_samples,
@@ -28,7 +29,7 @@ from .grids import (
     _y_matrix,
     _z_matrix,
 )
-from .harmonics import wigner_D_stack, wigner_d_stack
+from .harmonics import wigner_D_stack
 
 __all__ = [
     "S2_DIRECT_BANDWIDTH_CAP",
@@ -78,37 +79,16 @@ def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ascontiguousarray(values.real), _guarded(imag, real, "after synthesis")
 
 
-def _project_direct(samples: np.ndarray, spectrum_cls):
-    """Coefficients of samples ``(K, 2b, 2b, G)`` by explicit weighted sums
-    of every grid sample against the sampled ``conj(D^l_mn)``; a sphere
-    signal has a single gamma sample (G = 1), so only ``n = 0`` enters."""
-    k, n, _, gammas = samples.shape
-    b = n // 2
-    grid = make_so3_grid(b)
-    full = gammas > 1
-    d = wigner_d_stack(b - 1, grid.betas, "all" if full else "zero")
-    weights = ring_weights(b) / (n * gammas)  # with the alpha, gamma averages
-    out = spectrum_cls.zeros(b, k)
-    for l in range(b):
-        m = np.arange(-l, l + 1)
-        ea = np.exp(1j * np.outer(m, grid.alphas))  # e^{+i m alpha_i}
-        eg = np.exp(1j * np.outer(m, grid.gammas)) if full else np.ones((1, 1))
-        out.columns(l)[:] = np.einsum(
-            "j,jmn,mi,nk,cjik->cmn", weights, d[l], ea, eg, samples, optimize=True
-        )
-    return out
-
-
 def s2_project_direct(signal: S2Signal) -> S2Spectrum:
     """Coefficients by explicit weighted sums of every grid sample against
     the sampled ``conj(Y^l_m)``."""
-    return _project_direct(signal.samples[..., None], S2Spectrum)
+    return _dft_forward(*_on_rotation_grid(signal), None)
 
 
 def so3_project_direct(signal: SO3Signal) -> SO3Spectrum:
     """Coefficients by explicit weighted sums of every grid sample against
     the sampled ``conj(D^l_mn)``."""
-    return _project_direct(signal.samples, SO3Spectrum)
+    return _dft_forward(*_on_rotation_grid(signal), None)
 
 
 def _synthesize_at(spectrum, alphas, betas, gammas=0.0) -> np.ndarray:
@@ -162,7 +142,7 @@ def so3_grid_matrices(bandwidth: int) -> np.ndarray:
 def _rotate_by_resampling(signal, rotation: Rotation):
     b = signal.bandwidth
     samples, spectrum_cls = _on_rotation_grid(signal)
-    spec = _project_direct(samples, spectrum_cls)
+    spec = _dft_forward(samples, spectrum_cls, None)
     mats = rotation.matrix.T @ _grid_matrices(b, samples.shape[3])  # R^-1 Q
     alphas, betas, gammas = matrix_to_euler(mats.reshape(-1, 3, 3))
     values, residue = _realized(_synthesize_at(spec, alphas, betas, gammas))
@@ -185,7 +165,7 @@ def _psi_at_pairs(psi, bandwidth_out: int):
     every sample Q of psi's own grid, as ``(slice of R, (K, chunk, Q))``; a
     sphere filter reads only (alpha, beta) of R^-1 Q."""
     samples, spectrum_cls = _on_rotation_grid(psi)
-    spec = _project_direct(samples, spectrum_cls)
+    spec = _dft_forward(samples, spectrum_cls, None)
     rotations = so3_grid_matrices(bandwidth_out).reshape(-1, 3, 3)
     points = _grid_matrices(psi.bandwidth, samples.shape[3]).reshape(-1, 3, 3)
     step = max(1, 64 * _CHUNK // len(points))  # bounds the pair arrays

@@ -26,8 +26,8 @@ from .gft import (
     SO3Signal,
     SO3Spectrum,
 )
-from .grids import make_s2_grid, sphere_to_cartesian, validate_bandwidth
-from .harmonics import DEFAULT_TABLE_MEMORY_CAP, ResourceLimitError, WignerTables
+from .grids import _checked_int, make_s2_grid, sphere_to_cartesian, validate_bandwidth
+from .harmonics import WignerTables, _check_cap
 
 __all__ = [
     "BadMagicError",
@@ -149,11 +149,7 @@ def _check_grid_cap(bandwidth, arrays: int) -> None:
     """Validate ``bandwidth``, and refuse it before anything is allocated if
     ``arrays`` float64 arrays on its 2b x 2b grid pass the table memory cap."""
     need = arrays * 8 * (2 * validate_bandwidth(bandwidth)) ** 2
-    if need > DEFAULT_TABLE_MEMORY_CAP:
-        raise ResourceLimitError(
-            f"{arrays} sample grids at bandwidth {bandwidth} need ~{need / 1e6:.0f} MB, "
-            f"over the cap of {DEFAULT_TABLE_MEMORY_CAP / 1e6:.0f} MB"
-        )
+    _check_cap(need, f"{arrays} sample grids at bandwidth {bandwidth}")
 
 
 def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
@@ -295,7 +291,7 @@ def molecule_channels(
     """
     # the angles, the points and one atom's offsets, plus the channels
     _check_grid_cap(bandwidth, 12 + molecule.charge_types.size)
-    if not 0 <= center < molecule.atom_count:
+    if _checked_int(center, "center", 0) >= molecule.atom_count:
         raise ValueError(
             f"center atom {center} out of range 0..{molecule.atom_count - 1}"
         )
