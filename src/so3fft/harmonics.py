@@ -109,7 +109,8 @@ def _shell_rows(l_max: int, betas: np.ndarray, lo: int, hi: int) -> tuple[np.nda
     return flat, start
 
 
-@lru_cache(maxsize=16)
+# runtime callers use one l_max per bandwidth; a map at l_max 150 is 73.5 MB
+@lru_cache(maxsize=4)
 def _unfold(l_max: int, full: bool) -> tuple[np.ndarray, ...]:
     """Where each entry (l, m, n) of the blocks, by degree and row-major,
     sits among :func:`_shell_rows`' rows n = -s..s (n = 0 if not ``full``),

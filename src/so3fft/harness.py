@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._parallel import parallel_map, resolve_threads
+from ._parallel import blas_threads, parallel_map, resolve_threads
 from .correlation import (
     make_correlation_plan,
     multichannel_correlate,
@@ -97,6 +97,8 @@ class EquivarianceReport:
     delta: float
     trial_deltas: tuple[float, ...]
     seconds: float
+    workers: int | None = None  # the resolved worker count
+    blas_threads: int | None = None  # BLAS threads of the trials; None: no setter
     delta_p50: float = field(init=False)
     delta_p95: float = field(init=False)
 
@@ -119,6 +121,8 @@ class EquivarianceReport:
             "delta_p50": self.delta_p50,
             "delta_p95": self.delta_p95,
             "seconds": self.seconds,
+            "workers": self.workers,
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -206,14 +210,17 @@ def run_equivariance(
         err = np.std(rotated_after_apply.samples - applied_after_rotate.samples)
         return float(err) / denom
 
+    workers = resolve_threads(threads)
     start = time.perf_counter()
-    deltas = parallel_map(one_trial, range(config.trials), resolve_threads(threads))
+    deltas = parallel_map(one_trial, range(config.trials), workers)
     seconds = time.perf_counter() - start
     return EquivarianceReport(
         config=config,
         delta=float(np.mean(deltas)),
         trial_deltas=tuple(deltas),
         seconds=seconds,
+        workers=workers,
+        blas_threads=blas_threads(),
     )
 
 
