@@ -26,7 +26,7 @@ from .gft import (
     so3_fft_forward,
     so3_fft_inverse,
 )
-from .grids import Rotation, _checked_int, make_so3_grid
+from .grids import Rotation, _checked_int, make_so3_grid, validate_bandwidth
 from .harmonics import WignerTables, cached_tables, wigner_D_matrices
 
 __all__ = [
@@ -69,12 +69,10 @@ class CorrelationPlan:
 def make_correlation_plan(
     bandwidth_in: int, bandwidth_out: int | None = None
 ) -> CorrelationPlan:
-    b_out = bandwidth_in if bandwidth_out is None else bandwidth_out
-    if not 1 <= b_out <= bandwidth_in:
-        raise ValueError(
-            f"output bandwidth must be in 1..{bandwidth_in}, got {b_out}"
-        )
-    return CorrelationPlan(bandwidth_in, b_out, cached_tables(b_out))
+    b_in = validate_bandwidth(bandwidth_in)
+    b_out = b_in if bandwidth_out is None else bandwidth_out
+    b_out = _checked_int(b_out, "output bandwidth", 1, b_in)
+    return CorrelationPlan(b_in, b_out, cached_tables(b_out))
 
 
 def _check_pair(psi, f, channels: bool = True) -> None:
@@ -164,13 +162,14 @@ def multichannel_correlate(
     k_out = _split_bank(bank, k_in, out_channels)
     plan = _resolve_plan(f, bank, plan, bandwidth_out)
 
+    # the product reads only the degrees l < b_out, so only they are analysed
     fwd = s2_fft_forward if on_sphere else so3_fft_forward
     tables_in = plan.tables_in_s2 if on_sphere else plan.tables_in
-    fs = fwd(f, tables_in)
+    fs = fwd(f, tables_in, bandwidth_out=plan.bandwidth_out)
     if isinstance(bank, spec_cls):
         ps = bank
     elif type(bank) is type(f):
-        ps = fwd(bank, tables_in)
+        ps = fwd(bank, tables_in, bandwidth_out=plan.bandwidth_out)
     else:
         raise ValueError("bank and signal must live on the same domain")
     out = SO3Spectrum.zeros(plan.bandwidth_out, k_out)

@@ -324,38 +324,45 @@ def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
     return coeffs, _guarded(defect, np.max(np.abs(d)), "in the spectrum")
 
 
-def _shell_products(t: WignerTables, gammas: int, coeffs: np.ndarray):
+def _shell_products(t: WignerTables, b: int, gammas: int, coeffs: np.ndarray):
     """Yield the table rows, grid index ``(m, n mod G)`` and ``coeffs``
-    ``[(pair, l), (channel, re/im)]`` rows of each part of each shell: one
-    unpadded real GEMM, as all its pairs cover l = s..b-1."""
-    b, q = t.bandwidth, 0
-    for s, rows in enumerate(t.shells):  # rows[n, l - s, j] = d^l_sn(beta_j)
+    ``[(pair, l), (channel, re/im)]`` rows of each part of each shell s < b,
+    b up to the tables' bandwidth: one unpadded real GEMM, as its pairs cover
+    l = s..b-1."""
+    q = 0
+    for s, rows in enumerate(t.shells[:b]):  # rows[n, l - s, j] = d^l_sn(beta_j)
         for r, mirrored, gm, gn in _shell_parts(s, gammas):
-            r = rows[r, :, ::-1] if mirrored else rows[r]  # at pi - beta_j
+            r = rows[r, : b - s, ::-1] if mirrored else rows[r, : b - s]  # at pi - beta_j
             p = len(r) * (b - s)
             yield r, (gm, gn), coeffs[q : q + p].reshape(len(r), b - s, coeffs.shape[1])
             q += p
 
 
-def _fft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None):
-    """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid; a sphere
-    signal is the grid with a single gamma sample (G = 1)."""
+def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
+    """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid (G = 1: a
+    sphere signal), at the degrees below ``bandwidth_out`` alone (default b)."""
     k, n, _, gammas = samples.shape
     b = n // 2
+    c = b if bandwidth_out is None else _checked_int(bandwidth_out, "bandwidth_out", 1, b)
     t = _resolve_tables(b, tables, gammas)
     # [channel, j, m, n mod G]: the conjugate alpha/gamma averages, so plain
     # rffts serve; each part's GEMM reads its weighted [pair, j, channel] copy
     fc = np.fft.rfft(samples, axis=2, norm="forward")
-    np.fft.fft(fc, axis=3, norm="forward", out=fc)
-    pos, mirror, parity, sign, _ = _shell_order(b, spectrum_cls)
+    if c == b:
+        np.fft.fft(fc, axis=3, norm="forward", out=fc)
+    else:  # the rows m < c, then the columns n mod 2c that they read
+        fc = np.fft.fft(fc[:, :, :c], axis=3, norm="forward")
+        g = 2 * c if gammas > 1 else 1
+        fc = fc[..., np.fft.fftfreq(g, 1 / g).astype(int) % gammas]
+    pos, mirror, parity, sign, _ = _shell_order(c, spectrum_cls)
     coeffs = np.empty((len(pos), 2 * k))
-    for rows, (gm, gn), c in _shell_products(t, gammas, coeffs):
+    for rows, (gm, gn), cf in _shell_products(t, c, fc.shape[3], coeffs):
         grid = np.multiply(fc[:, :, gm, gn].T, t.weights[:, None], order="C")
-        np.matmul(rows, grid.view(np.float64), out=c)
+        np.matmul(rows, grid.view(np.float64), out=cf)
     coeffs = coeffs.view(np.complex128)
     np.conjugate(coeffs, out=coeffs)
     coeffs *= sign[:, None]
-    out = spectrum_cls.zeros(b, k)
+    out = spectrum_cls.zeros(c, k)
     # the mirrors first, so the computed row m = 0 overwrites its own
     out.data[:, mirror] = (parity[:, None] * coeffs.conj()).T
     out.data[:, pos] = coeffs.T
@@ -375,7 +382,7 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     # the forward's conjugate grid, [m, n mod G, j, channel] (m = b left zero;
     # irfft takes the rows m < 0 as the conjugates of the rows m > 0)
     fc = np.zeros((b + 1, gammas, 2 * b, k), dtype=np.complex128)
-    for rows, at, c in _shell_products(t, gammas, coeffs.view(np.float64)):
+    for rows, at, c in _shell_products(t, b, gammas, coeffs.view(np.float64)):
         np.matmul(rows.transpose(0, 2, 1), c, out=fc.view(np.float64)[at])
     # one copy to [channel, j, m, n mod G], so both FFTs write in memory order
     fc = fc.transpose(3, 2, 0, 1).copy()
@@ -384,16 +391,22 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     return _synthesized(real, residue, signal_cls)
 
 
-def s2_fft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:
-    return _fft_forward(signal.samples[..., None], S2Spectrum, tables)
+def s2_fft_forward(
+    signal: S2Signal, tables: WignerTables | None = None, bandwidth_out: int | None = None
+) -> S2Spectrum:
+    """The spectrum at ``bandwidth_out`` (1..b, default b), computing only its degrees."""
+    return _fft_forward(signal.samples[..., None], S2Spectrum, tables, bandwidth_out)
 
 
 def s2_fft_inverse(spectrum: S2Spectrum, tables: WignerTables | None = None) -> S2Signal:
     return _fft_inverse(spectrum, S2Signal, tables)
 
 
-def so3_fft_forward(signal: SO3Signal, tables: WignerTables | None = None) -> SO3Spectrum:
-    return _fft_forward(signal.samples, SO3Spectrum, tables)
+def so3_fft_forward(
+    signal: SO3Signal, tables: WignerTables | None = None, bandwidth_out: int | None = None
+) -> SO3Spectrum:
+    """As :func:`s2_fft_forward`, on the rotation group."""
+    return _fft_forward(signal.samples, SO3Spectrum, tables, bandwidth_out)
 
 
 def so3_fft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -> SO3Signal:

@@ -52,12 +52,15 @@ GIMBAL_EPS = 1e-9
 _TWO_PI = 2.0 * np.pi
 
 
-def _checked_int(value, name: str, low: int) -> int:
-    """``value`` as an int: ``TypeError`` unless an integer, ``ValueError`` below ``low``."""
+def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int: ``TypeError`` unless an integer, ``ValueError``
+    below ``low`` or, when given, above ``high``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
     return int(value)
 
 

@@ -17,12 +17,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
-from ._parallel import blas_threads, parallel_map, resolve_threads
+from ._parallel import THREADS_ENV, affinity_cpus, blas_threads, parallel_map, resolve_threads
 from .correlation import (
     make_correlation_plan,
     multichannel_correlate,
@@ -123,7 +125,27 @@ class EquivarianceReport:
             "seconds": self.seconds,
             "workers": self.workers,
             "blas_threads": self.blas_threads,
+            **_environment(),
         }
+
+
+@cache
+def _environment() -> dict:
+    """What the process runs under, read once: the numpy version, the BLAS
+    numpy was built against (name and version), the CPUs it may use and the
+    raw thread variables (None when unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # a numpy without the config dicts
+        blas = None
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", THREADS_ENV)
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpus": affinity_cpus(),
+        **{name: os.environ.get(name) for name in threads},
+    }
 
 
 def estimate_run_bytes(config: EquivarianceConfig) -> int:

@@ -152,19 +152,12 @@ def _check_grid_cap(bandwidth, arrays: int) -> None:
     _check_cap(need, f"{arrays} sample grids at bandwidth {bandwidth}")
 
 
-def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
-    """Wrap a flat image onto the northern hemisphere.
-
-    The plane touches the sphere at the north pole and points are pulled
-    back along rays through the south pole, so the equator maps to the
-    radius-2 circle; the image square is scaled to sit inside it, which
-    keeps every nonzero sample strictly north of the equator.  Grid points
-    that land outside the image are zero; inside, pixels are sampled
-    bilinearly.
-    """
-    # at the peak: the angles, the points, u/v, the pixel coordinates and
-    # their parts, the four weights, and one weight's gather
-    _check_grid_cap(bandwidth, 24)
+@functools.lru_cache(maxsize=4)
+def _image_stencil(bandwidth: int, height: int, width: int):
+    """The bilinear stencil of every grid point, ``[corner, beta, alpha]``
+    for the corners (0, 0), (0, 1), (1, 0), (1, 1): flat pixel indices and
+    weights, the weight 0 (at index 0) where a corner falls outside the
+    image.  Read-only and shared; 64 bytes per grid point."""
     grid = make_s2_grid(bandwidth)
     av, bv = np.meshgrid(grid.alphas, grid.betas)
     x, y, z = np.moveaxis(sphere_to_cartesian(av, bv), -1, 0)
@@ -173,27 +166,45 @@ def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
     v = 2.0 * y / (1.0 + z)
 
     # continuous pixel coordinates; (u, v) = (0, 0) is the image center
-    col = (u + _SQUARE_HALF) / (2.0 * _SQUARE_HALF) * image.width - 0.5
-    row = (_SQUARE_HALF - v) / (2.0 * _SQUARE_HALF) * image.height - 0.5
+    col = (u + _SQUARE_HALF) / (2.0 * _SQUARE_HALF) * width - 0.5
+    row = (_SQUARE_HALF - v) / (2.0 * _SQUARE_HALF) * height - 0.5
 
     c0 = np.floor(col).astype(np.int64)
     r0 = np.floor(row).astype(np.int64)
     fc = col - c0
     fr = row - r0
+    del av, bv, x, y, z, u, v, col, row
 
-    values = np.zeros_like(u)
-    for dr, dc, weight in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    ):
+    index = np.zeros((4,) + fr.shape, np.int64)
+    weight = np.zeros((4,) + fr.shape)
+    for i, (dr, dc) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         rr = r0 + dr
         cc = c0 + dc
-        inside = (rr >= 0) & (rr < image.height) & (cc >= 0) & (cc < image.width)
-        values[inside] += (
-            weight[inside] * image.values[rr[inside], cc[inside]]
-        )
+        inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+        np.copyto(index[i], rr * width + cc, where=inside)
+        np.copyto(weight[i], (fr if dr else 1 - fr) * (fc if dc else 1 - fc), where=inside)
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
+
+
+def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
+    """Wrap a flat image onto the northern hemisphere.
+
+    The plane touches the sphere at the north pole and points are pulled
+    back along rays through the south pole, so the equator maps to the
+    radius-2 circle; the image square is scaled to sit inside it, which
+    keeps every nonzero sample strictly north of the equator.  Grid points
+    that land outside the image are zero; inside, pixels are sampled
+    bilinearly, through a stencil cached per (bandwidth, height, width).
+    """
+    # building the stencil peaks near 16 grids: the angles, the points, u/v
+    # and the pixel coordinates, or the stencil's 8 and one corner's terms
+    _check_grid_cap(bandwidth, 24)
+    index, weight = _image_stencil(bandwidth, image.height, image.width)
+    pixels = image.values.ravel()
+    values = np.zeros(index.shape[1:])
+    for i, w in zip(index, weight):  # an outside corner adds an exact +0.0
+        values += w * pixels.take(i)
     return S2Signal(bandwidth, values[None])
 
 
