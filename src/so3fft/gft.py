@@ -24,7 +24,12 @@ Each transform has two implementations with identical results:
   (``cached_tables(b, "zero")``); full tables passed in also serve.
   Every FFT writes a contiguous ``[channel, beta, m, n mod G]`` array, with
   column n at index ``n mod G``, where the FFT leaves it; each forward GEMM
-  reads a copy of its part, and the inverse's GEMM grid is copied in once;
+  reads a copy of its part, and the inverse's GEMM grid is copied in once.
+  A fast forward given ``bandwidth_out`` < b analyses only the degrees
+  below it, all that a correlation at that output bandwidth reads: the
+  alpha rows m < ``bandwidth_out``, the gamma FFT on those rows alone, and
+  the shells s < ``bandwidth_out`` up to degree ``bandwidth_out - 1``.  At
+  ``bandwidth_out`` = b it is the full forward, bit for bit;
 * the direct path (``*_dft_*``), one engine for both domains in the same
   way: explicit weighted sums of the samples against the sampled basis
   functions, ring by ring, with no FFT anywhere.
@@ -348,15 +353,12 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
     # [channel, j, m, n mod G]: the conjugate alpha/gamma averages, so plain
     # rffts serve; each part's GEMM reads its weighted [pair, j, channel] copy
     fc = np.fft.rfft(samples, axis=2, norm="forward")
-    if c == b:
-        np.fft.fft(fc, axis=3, norm="forward", out=fc)
-    else:  # the rows m < c, then the columns n mod 2c that they read
-        fc = np.fft.fft(fc[:, :, :c], axis=3, norm="forward")
-        g = 2 * c if gammas > 1 else 1
-        fc = fc[..., np.fft.fftfreq(g, 1 / g).astype(int) % gammas]
+    if c < b:  # only the shells s < c are read, so only the rows m < c
+        fc = np.ascontiguousarray(fc[:, :, :c])
+    np.fft.fft(fc, axis=3, norm="forward", out=fc)
     pos, mirror, parity, sign, _ = _shell_order(c, spectrum_cls)
     coeffs = np.empty((len(pos), 2 * k))
-    for rows, (gm, gn), cf in _shell_products(t, c, fc.shape[3], coeffs):
+    for rows, (gm, gn), cf in _shell_products(t, c, gammas, coeffs):
         grid = np.multiply(fc[:, :, gm, gn].T, t.weights[:, None], order="C")
         np.matmul(rows, grid.view(np.float64), out=cf)
     coeffs = coeffs.view(np.complex128)
