@@ -25,12 +25,6 @@ _blas_lock = threading.Lock()
 _blas_depth = _blas_saved = 0  # maps running now; the BLAS count before the first
 
 
-def affinity_cpus() -> int | None:
-    """The CPUs this process may run on (``os.cpu_count()`` where the OS
-    has no affinity mask); None if unknown."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 def resolve_threads(requested: int | None = None) -> int:
     """Turn a requested worker count (None/0 = auto) into a concrete one."""
     if requested is None:
@@ -39,8 +33,9 @@ def resolve_threads(requested: int | None = None) -> int:
             requested = int(raw)
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # an int, numpy integers included; 0 means auto
-    return _checked_int(requested, "thread count", 0) or max(1, affinity_cpus() or 1)
+    return _checked_int(requested, "thread count", 0) or max(1, cpus or 1)
 
 
 @cache

@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from ._parallel import THREADS_ENV, affinity_cpus, blas_threads, parallel_map, resolve_threads
+from ._parallel import THREADS_ENV, blas_threads, parallel_map, resolve_threads
 from .correlation import (
     make_correlation_plan,
     multichannel_correlate,
@@ -143,7 +143,7 @@ def _environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": blas,
-        "cpus": affinity_cpus(),
+        "cpus": resolve_threads(0),  # the CPUs this process may run on
         **{name: os.environ.get(name) for name in threads},
     }
 
