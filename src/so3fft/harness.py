@@ -137,7 +137,7 @@ def _environment() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
-    except (KeyError, TypeError):  # a numpy without the config dicts
+    except KeyError:  # a build whose config names no BLAS or no version
         blas = None
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", THREADS_ENV)
     return {

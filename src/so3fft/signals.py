@@ -143,6 +143,7 @@ def read_pgm(path) -> PlanarImage:
 
 
 _SQUARE_HALF = math.sqrt(2.0)  # image square inscribed in the equator disk
+_STENCIL_CACHE_MAX_B = 64  # stencils of 256 b**2 bytes are cached up to 1 MB
 
 
 def _check_grid_cap(bandwidth, arrays: int) -> None:
@@ -152,12 +153,12 @@ def _check_grid_cap(bandwidth, arrays: int) -> None:
     _check_cap(need, f"{arrays} sample grids at bandwidth {bandwidth}")
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _image_stencil(bandwidth: int, height: int, width: int):
     """The bilinear stencil of every grid point, ``[corner, beta, alpha]``
     for the corners (0, 0), (0, 1), (1, 0), (1, 1): flat pixel indices and
     weights, the weight 0 (at index 0) where a corner falls outside the
-    image.  Read-only and shared; 64 bytes per grid point."""
+    image.  Read-only and shared; only the last one is kept."""
     grid = make_s2_grid(bandwidth)
     av, bv = np.meshgrid(grid.alphas, grid.betas)
     x, y, z = np.moveaxis(sphere_to_cartesian(av, bv), -1, 0)
@@ -200,7 +201,8 @@ def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
     # building the stencil peaks near 16 grids: the angles, the points, u/v
     # and the pixel coordinates, or the stencil's 8 and one corner's terms
     _check_grid_cap(bandwidth, 24)
-    index, weight = _image_stencil(bandwidth, image.height, image.width)
+    build = _image_stencil if bandwidth <= _STENCIL_CACHE_MAX_B else _image_stencil.__wrapped__
+    index, weight = build(bandwidth, image.height, image.width)
     pixels = image.values.ravel()
     values = np.zeros(index.shape[1:])
     for i, w in zip(index, weight):  # an outside corner adds an exact +0.0

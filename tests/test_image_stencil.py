@@ -1,7 +1,8 @@
 """``project_image`` reads its bilinear stencil from a small cache keyed by
 (bandwidth, height, width): results stay bit-identical to the formula it
 replaces, the pixels are read on every call, the grid cap still refuses
-first, and the cache keeps at most ``maxsize`` stencils alive."""
+first, the cache keeps at most ``maxsize`` stencils alive, and stencils
+past b = 64 are built per call and freed with it."""
 
 import gc
 import math
@@ -129,3 +130,30 @@ def test_cache_holds_at_most_maxsize_stencils():
     assert _image_stencil.cache_info().currsize == maxsize
     assert maxsize * entry <= held < (maxsize + 1) * entry
     _image_stencil.cache_clear()
+
+
+def test_the_cache_stops_at_bandwidth_64():
+    image = PlanarImage(np.full((28, 28), 0.5))
+    _image_stencil.cache_clear()
+    project_image(image, 64)
+    kept = _image_stencil.cache_info()
+    project_image(image, 65)
+    assert _image_stencil.cache_info() == kept
+    assert kept.currsize == 1
+    _image_stencil.cache_clear()
+
+
+def test_a_large_stencil_is_not_held_after_the_call():
+    bandwidth = 96  # a 2.4 MB stencil
+    _image_stencil.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        project_image(PlanarImage(np.full((28, 28), 0.5)), bandwidth)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= 256 * bandwidth**2  # the stencil was built
+    assert held < 1 << 16
+    assert _image_stencil.cache_info().currsize == 0

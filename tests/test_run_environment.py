@@ -62,11 +62,12 @@ def test_fields_are_read_once_per_process(fresh_environment, monkeypatch):
     assert report().to_record()["OMP_NUM_THREADS"] == first["OMP_NUM_THREADS"] == "3"
 
 
-def test_a_numpy_without_config_dicts_records_no_blas(fresh_environment, monkeypatch):
-    def old_show_config(mode="stdout"):
-        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
-
-    monkeypatch.setattr(np, "show_config", old_show_config)
+def test_a_build_without_a_blas_version_records_no_blas(fresh_environment, monkeypatch):
+    config = np.show_config(mode="dicts")
+    blas = dict(config["Build Dependencies"]["blas"])
+    del blas["version"]
+    stripped = {**config, "Build Dependencies": {**config["Build Dependencies"], "blas": blas}}
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": stripped)
     record = report().to_record()
     assert record["blas"] is None
     assert record["numpy"] == np.__version__
