@@ -14,7 +14,7 @@ coefficients obey ``fhat^l_{-m,-n} = (-1)^(m-n) conj(fhat^l_{mn})``.
 
 Each transform has two implementations with identical results:
 
-* the fast path, one engine for both domains: an FFT over the equispaced
+* the fast path, one engine for both domains: a DFT over the equispaced
   alpha and gamma axes, then the colatitude sums as real matrix products,
   a few per shell ``s = max(m, |n|)``, whose pairs ``(m, n)`` all cover the
   degrees ``l = s..b-1``; they read the half shell rows of the Wigner-d
@@ -22,13 +22,14 @@ Each transform has two implementations with identical results:
   rotation grid with a single gamma sample, whose only column is ``n = 0``
   (``Y^l_m = D^l_m0``), so by default it reads the n = 0 column tables
   (``cached_tables(b, "zero")``); full tables passed in also serve.
-  Every FFT writes a contiguous ``[channel, beta, m, n mod G]`` array, with
-  column n at index ``n mod G``, where the FFT leaves it; each forward GEMM
-  reads a copy of its part, and the inverse's GEMM grid is copied in once.
-  A fast forward given ``bandwidth_out`` < b analyses only the degrees
-  below it, all that a correlation at that output bandwidth reads: the
-  alpha rows m < ``bandwidth_out``, the gamma FFT on those rows alone, and
-  the shells s < ``bandwidth_out`` up to degree ``bandwidth_out - 1``.  At
+  Along alpha it is a real product with a cached DFT matrix at the rows m
+  it keeps, along gamma an FFT in place, with column n at index ``n mod G``
+  where the FFT leaves it.  Each forward GEMM reads a weighted copy of its
+  part (on the sphere one copy serves every shell), and the inverse's GEMM
+  grid is copied out once.  A fast forward given ``bandwidth_out`` < b
+  analyses only the degrees below it, all that a correlation at that
+  output bandwidth reads: the alpha rows m < ``bandwidth_out`` and the
+  shells s < ``bandwidth_out`` up to degree ``bandwidth_out - 1``.  At
   ``bandwidth_out`` = b it is the full forward, bit for bit;
 * the direct path (``*_dft_*``), one engine for both domains in the same
   way: explicit weighted sums of the samples against the sampled basis
@@ -37,17 +38,18 @@ Each transform has two implementations with identical results:
   path beyond the sampled-basis tables, and its forward is also the
   oracle's projection (:mod:`.oracle`).
 
-The fast path analyses and synthesises only the rows ``m >= 0`` (a
-half-spectrum real FFT along alpha); its forward writes the rows ``m < 0``
-from the rows ``m > 0`` by the symmetry above.  Both inverses, fast and
-direct, run one guard before synthesis: it records the largest coefficient
-of the spectrum's anti-Hermitian half, relative to ``max(1, max |coefficient|)``,
-as ``imag_residue``, comparing the rows ``m >= 0`` with their mirrors, as
-the defect at (l, -m, -n) equals that at (l, m, n), so the residue is the
-whole spectrum's and the same on both paths.  The guard and both fast
-directions read one cached index map, ``_shell_order``.  A residue above
-``IMAG_RESIDUE_TOL`` raises :class:`GuardError`; below it the direct
-inverse keeps the real part of its sums.
+The fast path analyses and synthesises only the rows ``m >= 0``: its
+forward writes the rows ``m < 0`` by the symmetry above, and its inverse
+reads them as conjugates and drops Im F_0, as ``irfft`` would.  Both
+inverses, fast and direct, run one guard before synthesis: it records the
+largest coefficient of the spectrum's anti-Hermitian half, relative to
+``max(1, max |coefficient|)``, as ``imag_residue``, comparing the rows
+``m >= 0`` with their mirrors, as the defect at (l, -m, -n) equals that
+at (l, m, n), so the residue is the whole spectrum's and the same on both
+paths.  The guard and both fast directions read one cached index map,
+``_shell_order``.  A residue above ``IMAG_RESIDUE_TOL`` raises
+:class:`GuardError`; below it the direct inverse keeps the real part of
+its sums.
 """
 
 from __future__ import annotations
@@ -343,6 +345,19 @@ def _shell_products(t: WignerTables, b: int, gammas: int, coeffs: np.ndarray):
             q += p
 
 
+@lru_cache(maxsize=16)
+def _alpha_dft(n: int, rows: int, inverse: bool) -> np.ndarray:
+    """The alpha DFT of an ``n``-point grid at the rows m < ``rows`` as a real
+    ``[a, (m, re/im)]`` matrix: forward ``exp(-i m alpha_a) / n``; inverse the
+    weights of ``Re(w_m exp(+i m alpha_a) F_m)``, w_0 = 1, else w_m = 2."""
+    m = np.arange(rows)
+    phase = (2 * np.pi / n) * (np.outer(np.arange(n), m) % n)  # from (m a) mod n
+    scale = np.where(m > 0, 2.0, 1.0) if inverse else np.full(rows, 1 / n)
+    dft = (np.stack([np.cos(phase), -np.sin(phase)], 2) * scale[:, None]).reshape(n, -1)
+    dft.flags.writeable = False  # shared by every caller
+    return dft
+
+
 def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
     """Analysis of samples ``(K, 2b, 2b, G)`` on the rotation grid (G = 1: a
     sphere signal), at the degrees below ``bandwidth_out`` alone (default b)."""
@@ -350,17 +365,24 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
     b = n // 2
     c = b if bandwidth_out is None else _checked_int(bandwidth_out, "bandwidth_out", 1, b)
     t = _resolve_tables(b, tables, gammas)
-    # [channel, j, m, n mod G]: the conjugate alpha/gamma averages, so plain
-    # rffts serve; each part's GEMM reads its weighted [pair, j, channel] copy
-    fc = np.fft.rfft(samples, axis=2, norm="forward")
-    if c < b:  # only the shells s < c are read, so only the rows m < c
-        fc = np.ascontiguousarray(fc[:, :, :c])
-    np.fft.fft(fc, axis=3, norm="forward", out=fc)
+    # [n mod G, channel, j, m]: the conjugate alpha/gamma averages at m < c,
+    # [channel, j, g, a] times the alpha DFT, g outermost for one gamma FFT call
+    x, fc = samples.swapaxes(2, 3), np.empty((gammas, k, n, 2 * c))
+    dst = fc.transpose(1, 2, 0, 3)
+    if gammas == 1:  # the sphere's k*2b rings as one 2-D GEMM
+        x, dst = x.reshape(-1, n), fc.reshape(-1, 2 * c)
+    np.matmul(x, _alpha_dft(n, c, False), out=dst)
+    fc = fc.view(np.complex128)
+    np.fft.fft(fc, axis=0, norm="forward", out=fc)
+    # each GEMM reads a weighted [pair, j, channel] copy of its part of the grid
+    # [m, n mod G, j, channel]; on the sphere (n = 0) one copy serves them all
+    w, grid = t.weights[:, None], fc.transpose(3, 0, 2, 1)
+    grid = np.multiply(grid, w, order="C") if gammas == 1 else grid
     pos, mirror, parity, sign, _ = _shell_order(c, spectrum_cls)
     coeffs = np.empty((len(pos), 2 * k))
-    for rows, (gm, gn), cf in _shell_products(t, c, gammas, coeffs):
-        grid = np.multiply(fc[:, :, gm, gn].T, t.weights[:, None], order="C")
-        np.matmul(rows, grid.view(np.float64), out=cf)
+    for rows, at, cf in _shell_products(t, c, gammas, coeffs):
+        part = grid[at] if gammas == 1 else np.multiply(grid[at], w, order="C")
+        np.matmul(rows, part.view(np.float64), out=cf)
     coeffs = coeffs.view(np.complex128)
     np.conjugate(coeffs, out=coeffs)
     coeffs *= sign[:, None]
@@ -374,23 +396,24 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
 def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto the rotation grid ``(K, 2b, 2b, G)``, with G = 1 gamma
     sample for a sphere spectrum (its single column is n = 0)."""
-    b, k = spectrum.bandwidth, spectrum.channels
-    gammas = 2 * b if signal_cls is SO3Signal else 1
+    b, k, n = spectrum.bandwidth, spectrum.channels, 2 * spectrum.bandwidth
+    gammas = n if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
     coeffs, residue = _hermitian_rows(spectrum)
     sign, deg = _shell_order(b, type(spectrum))[3:]
     np.conjugate(coeffs, out=coeffs)
     coeffs *= (sign * deg)[:, None]
-    # the forward's conjugate grid, [m, n mod G, j, channel] (m = b left zero;
-    # irfft takes the rows m < 0 as the conjugates of the rows m > 0)
-    fc = np.zeros((b + 1, gammas, 2 * b, k), dtype=np.complex128)
+    # the forward's conjugate grid at the rows m < b, [m, n mod G, j, channel]
+    fc = np.zeros((b, gammas, n, k), dtype=np.complex128)
     for rows, at, c in _shell_products(t, b, gammas, coeffs.view(np.float64)):
         np.matmul(rows.transpose(0, 2, 1), c, out=fc.view(np.float64)[at])
-    # one copy to [channel, j, m, n mod G], so both FFTs write in memory order
-    fc = fc.transpose(3, 2, 0, 1).copy()
-    np.fft.ifft(fc, axis=3, norm="forward", out=fc)
-    real = np.fft.irfft(fc, 2 * b, axis=2, norm="forward")
-    return _synthesized(real, residue, signal_cls)
+    # the gamma ifft in place, then one copy to [channel, j, n mod G, m]; the
+    # alpha DFT writes [channel, j, a, g] (the sphere's rings in one 2-D GEMM)
+    np.fft.ifft(fc, axis=1, norm="forward", out=fc)
+    fc = fc.T.copy()
+    x, dft = fc.view(np.float64), _alpha_dft(n, b, True)
+    real = np.matmul(dft, x.swapaxes(2, 3)) if gammas > 1 else x.reshape(-1, n) @ dft.T
+    return _synthesized(real.reshape(k, n, n, gammas), residue, signal_cls)
 
 
 def s2_fft_forward(

@@ -285,7 +285,8 @@ def run_bench(bandwidths, kind: str = "so3", repetitions: int = 5) -> list[dict]
     """Median wall-clock of fast vs. dense-direct transform paths.
 
     The direct path is skipped (with a note) above its cost cap so a sweep
-    over large bandwidths stays bounded.
+    over large bandwidths stays bounded.  Each record says what it ran under
+    (:func:`_environment`: numpy, its BLAS, the CPUs, the thread variables).
     """
     if kind not in DIRECT_BENCH_CAPS:
         raise ValueError(f"kind must be 's2' or 'so3', got {kind!r}")
@@ -308,6 +309,7 @@ def run_bench(bandwidths, kind: str = "so3", repetitions: int = 5) -> list[dict]
                     "op": op,
                     "path": path,
                     "repetitions": repetitions,
+                    **_environment(),
                 }
                 if path == "direct" and b > cap:
                     record["seconds"] = None
