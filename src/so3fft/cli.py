@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project-molecule", help="per-charge potential channels")
     p.add_argument("--molecule", required=True, help="text file, 'charge x y z' per line")
-    p.add_argument("--center", type=int, default=0)
+    p.add_argument("--center", type=_count_arg("center", 0), default=0)
     p.add_argument("--bandwidth", type=_bandwidth_arg, default=10)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--output", required=True)

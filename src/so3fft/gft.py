@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import _checked_int, angle_samples, validate_bandwidth
-from .harmonics import WignerTables, cached_tables
+from .harmonics import WignerTables, _phases, cached_tables
 
 __all__ = [
     "GuardError",
@@ -263,13 +263,6 @@ def _guarded(defect, scale, where: str) -> float:
     return residue
 
 
-def _synthesized(real: np.ndarray, residue: float, signal_cls):
-    # real signal from samples (K, 2b, 2b, G); the sphere drops its G = 1 axis
-    if signal_cls is S2Signal:
-        real = real[..., 0]
-    return signal_cls(real.shape[1] // 2, real, imag_residue=residue)
-
-
 # ---------------------------------------------------------------------------
 # fast paths: half-spectrum FFT over alpha, shell products over beta
 # ---------------------------------------------------------------------------
@@ -413,7 +406,7 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     fc = fc.T.copy()
     x, dft = fc.view(np.float64), _alpha_dft(n, b, True)
     real = np.matmul(dft, x.swapaxes(2, 3)) if gammas > 1 else x.reshape(-1, n) @ dft.T
-    return _synthesized(real.reshape(k, n, n, gammas), residue, signal_cls)
+    return signal_cls(b, real.reshape((k,) + (n,) * signal_cls._axes), imag_residue=residue)
 
 
 def s2_fft_forward(
@@ -445,8 +438,7 @@ def so3_fft_inverse(spectrum: SO3Spectrum, tables: WignerTables | None = None) -
 def _dft_phases(bandwidth: int, gammas: int) -> tuple[np.ndarray, np.ndarray]:
     # E[i, m+b-1] = exp(+i m alpha_i), the sampled azimuth basis, and its
     # gamma counterpart; a single gamma sample carries n = 0 alone
-    m = np.arange(-(bandwidth - 1), bandwidth)
-    e = np.exp(1j * np.outer(angle_samples(bandwidth), m))
+    e = _phases(bandwidth - 1, angle_samples(bandwidth)).conj()
     return e, e if gammas > 1 else np.ones((1, 1))
 
 
@@ -471,24 +463,24 @@ def _dft_forward(samples: np.ndarray, spectrum_cls, tables: WignerTables | None)
 
 def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto ``(K, 2b, 2b, G)`` by explicit sums, ring by ring."""
-    b = spectrum.bandwidth
-    gammas = 2 * b if signal_cls is SO3Signal else 1
+    b, k, n = spectrum.bandwidth, spectrum.channels, 2 * spectrum.bandwidth
+    gammas = n if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
     residue = _hermitian_rows(spectrum)[1]
-    k = spectrum.channels
     e_conj, eg_conj = (p.conj() for p in _dft_phases(b, gammas))
     h = eg_conj.shape[1] // 2
     cols = [spectrum.columns(l) for l in range(b)]
-    values = np.empty((k, 2 * b, 2 * b, gammas), dtype=np.complex128)
-    acc = np.zeros((k, 2 * b - 1, eg_conj.shape[1]), dtype=np.complex128)
-    for j in range(2 * b):
+    values = np.empty((k, n, n, gammas), dtype=np.complex128)
+    acc = np.zeros((k, n - 1, eg_conj.shape[1]), dtype=np.complex128)
+    for j in range(n):
         acc.fill(0.0)
         for l in range(b):
             c = cols[l].shape[2] // 2
             dl = t.d[l][j][:, _centered(t.d[l].shape[2] // 2, c)]
             acc[:, _centered(b - 1, l), _centered(h, c)] += (2 * l + 1) * dl * cols[l]
         values[:, j] = e_conj @ acc @ eg_conj.T
-    return _synthesized(values.real, residue, signal_cls)
+    real = values.real.reshape((k,) + (n,) * signal_cls._axes)
+    return signal_cls(b, real, imag_residue=residue)
 
 
 def s2_dft_forward(signal: S2Signal, tables: WignerTables | None = None) -> S2Spectrum:

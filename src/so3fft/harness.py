@@ -41,7 +41,7 @@ from .gft import (
     so3_fft_forward,
 )
 from .grids import _checked_int, random_rotation, validate_bandwidth
-from .harmonics import ResourceLimitError, cached_tables, estimate_table_bytes
+from .harmonics import _check_cap, cached_tables, estimate_table_bytes
 from .oracle import rotate_so3_by_resampling
 
 __all__ = [
@@ -149,29 +149,31 @@ def _environment() -> dict:
 
 
 def estimate_run_bytes(config: EquivarianceConfig) -> int:
-    """Rough peak-memory estimate for run_equivariance, checked up front."""
+    """Rough peak-memory estimate for run_equivariance at the default
+    worker count, checked up front."""
+    return _run_bytes(config, resolve_threads(None))
+
+
+def _run_bytes(config: EquivarianceConfig, workers: int) -> int:
     n = 2 * config.bandwidth
     k = config.channels
     tables = estimate_table_bytes(config.bandwidth)
     banks = config.layers * k * k * so3_coefficient_count(config.bandwidth) * 16
-    # a trial keeps a handful of K-channel grids plus their complex FFT
-    # workspace alive at once; 12 real copies is a generous envelope
-    working = 12 * k * n**3 * 8
-    # the bank is transformed k filters (one output channel) at a time
-    working += 3 * k * n**3 * 16
-    return tables + banks + working
+    # the bank is transformed k filters (one output channel) at a time,
+    # once, before the trials start
+    build = 3 * k * n**3 * 16
+    # each trial in flight keeps a handful of K-channel grids alive at once;
+    # traced peaks grow by 50-60 bytes per k n^3 a trial, so 8 real copies
+    trial = 8 * k * n**3 * 8
+    return tables + banks + build + min(workers, config.trials) * trial
 
 
 def run_equivariance(
     config: EquivarianceConfig, threads: int | None = None
 ) -> EquivarianceReport:
     """Run the rotate-vs-apply experiment; deterministic for a given seed."""
-    estimate = estimate_run_bytes(config)
-    if estimate > HARNESS_MEMORY_CAP:
-        raise ResourceLimitError(
-            f"estimated working set {estimate} bytes exceeds the "
-            f"{HARNESS_MEMORY_CAP} byte harness cap"
-        )
+    workers = resolve_threads(threads)
+    _check_cap(_run_bytes(config, workers), "equivariance trials in flight", HARNESS_MEMORY_CAP)
 
     b = config.bandwidth
     k = config.channels
@@ -232,7 +234,6 @@ def run_equivariance(
         err = np.std(rotated_after_apply.samples - applied_after_rotate.samples)
         return float(err) / denom
 
-    workers = resolve_threads(threads)
     start = time.perf_counter()
     deltas = parallel_map(one_trial, range(config.trials), workers)
     seconds = time.perf_counter() - start

@@ -26,6 +26,7 @@ from .grids import (
     make_so3_grid,
     matrix_to_euler,
     ring_weights,
+    _checked_int,
     _y_matrix,
     _z_matrix,
 )
@@ -178,9 +179,7 @@ def _psi_at_pairs(psi, bandwidth_out: int):
 
 def _correlate_direct(psi, f, bandwidth_out, cap: int, force: bool, what: str):
     b = _checked(psi, f, cap, force, what)
-    b_out = b if bandwidth_out is None else bandwidth_out
-    if b_out > b:
-        raise ValueError("output bandwidth cannot exceed input bandwidth")
+    b_out = b if bandwidth_out is None else _checked_int(bandwidth_out, "output bandwidth", 1, b)
     samples = _on_rotation_grid(f)[0]
     weights = ring_weights(b) / (2 * b * samples.shape[3])  # the grid's, per ring
     weighted = (samples * weights[:, None, None]).reshape(f.channels, -1)

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -80,22 +81,11 @@ class PlanarImage:
         return self.values.shape[1]
 
 
-def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            yield data[pos:end], end
-            pos = end
+# a graymap header: the magic, then width, height and maxval, each after
+# whitespace or comments ('#' to the end of the line, never cut short), then
+# the one whitespace byte before the raster
+_PGM_GAP = rb"(?:\s|#[^\n]*(?:\n|\Z))"
+_PGM_HEADER = _PGM_GAP + rb"*(P[25])" + (_PGM_GAP + rb"+([^\s#]+)") * 3 + rb"\s"
 
 
 def read_pgm(path) -> PlanarImage:
@@ -103,43 +93,23 @@ def read_pgm(path) -> PlanarImage:
     with open(path, "rb") as fh:
         data = fh.read()
 
-    tokens = _pgm_tokens(data)
+    header = re.match(_PGM_HEADER, data)  # compiled on first use, then cached
     try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise ValueError(f"{path}: empty graymap") from None
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a P2/P5 graymap (magic {magic!r})")
-    try:
-        width, _ = next(tokens)
-        height, _ = next(tokens)
-        maxval, after = next(tokens)
-        width, height, maxval = int(width), int(height), int(maxval)
-    except (StopIteration, ValueError):
-        raise ValueError(f"{path}: malformed graymap header") from None
+        magic, width, height, maxval = header[1], *map(int, header.group(2, 3, 4))
+    except (TypeError, ValueError):  # no match, or a token that is no integer
+        raise ValueError(f"{path}: not a P2/P5 graymap, or a malformed header") from None
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad graymap dimensions")
 
-    count = width * height
-    if magic == b"P2":
-        flat = []
-        for token, _ in tokens:
-            flat.append(int(token))
-            if len(flat) == count:
-                break
-        if len(flat) < count:
-            raise ValueError(f"{path}: graymap raster ends early")
-        raster = np.array(flat, dtype=np.float64)
-    else:
-        # single whitespace byte separates the header from the raster
-        offset = after + 1
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        need = count * dtype.itemsize
-        raw = data[offset : offset + need]
-        if len(raw) < need:
-            raise ValueError(f"{path}: graymap raster ends early")
-        raster = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    return PlanarImage(raster.reshape(height, width) / maxval)
+    count, rest = width * height, data[header.end() :]
+    if magic == b"P2":  # decimal values, comments between them stripped
+        raster = [int(v) for v in re.sub(rb"#[^\n]*", b"", rest).split()[:count]]
+    else:  # big-endian binary, two bytes a value above maxval 255
+        size = 2 if maxval > 255 else 1
+        raster = np.frombuffer(rest, f">u{size}", min(count, len(rest) // size))
+    if len(raster) < count:
+        raise ValueError(f"{path}: graymap raster ends early")
+    return PlanarImage(np.asarray(raster, np.float64).reshape(height, width) / maxval)
 
 
 _SQUARE_HALF = math.sqrt(2.0)  # image square inscribed in the equator disk
