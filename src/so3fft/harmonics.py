@@ -18,19 +18,18 @@ beta`` and ``<Y^l_m, Y^l_m> = 1/(2l+1)``.
 
 One recurrence evaluates everything: a three-term recurrence in the degree,
 run on the row ``m = s`` of each shell ``s = max(|m|, |n|)``, one step for
-every row at once, each row seeded at ``l = s`` by the closed form of
-``d^s_sn`` (and shell 0 also by ``d^1_00 = cos beta``).  The fast transforms
-read those rows for ``n = 0..s``; the full blocks are read off the rows
-``n = -s..s`` by ``d^l_{-m,-n} = (-1)^(m-n) d^l_mn = d^l_nm``.  Everything is
-double precision; entries stay bounded by 1 (up to rounding) out to l of a
-few hundred.  Stacks and tables hold every column ``n`` (``columns="all"``,
-the rotation group) or the ``n = 0`` column alone (``"zero"``, all the
-sphere reads: 4.2 MB of sampled table at b = 64 instead of 358 MB).
+every row at once, each row seeded at ``l = s`` by one product of the row
+``d^{s-1}_{s-1,n}`` before it, from ``d^0_00 = 1`` (shell 0 also by ``d^1_00
+= cos beta``).  The fast transforms read the rows ``n = 0..s``, the full blocks
+the rows ``n = -s..s`` by ``d^l_{-m,-n} = (-1)^(m-n) d^l_mn = d^l_nm``.  In
+double precision, entries stay bounded by 1 up to rounding (n = 0: checked to l = 1023).
+Stacks and tables hold every column ``n`` (``columns="all"``, the rotation
+group) or, bit for bit, its ``n = 0`` column alone (``"zero"``, all the sphere
+reads: 4.2 MB of sampled table at b = 64 instead of 358 MB).
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -78,27 +77,26 @@ def _validate_columns(columns) -> str:
 
 
 def _shell_rows(l_max: int, betas: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """``d^l_sn(beta_j)`` on the row m = s of each shell s = max(|m|, |n|),
-    n = lo*s..hi*s, as ``[(l, s, n), j]`` (degree l holds the rows s <= l by
-    shell, then n), and where each degree starts.  Each row starts at l = s
-    from the closed form of d^s_sn (shell 0 also from d^1_00 = cos beta);
-    then, for all rows at once, (l-1) sqrt((l^2-s^2)(l^2-n^2)) d^l = (2l-1)
-    ((l-1) l cos beta - s n) d^{l-1} - l sqrt(((l-1)^2-s^2)((l-1)^2-n^2)) d^{l-2}."""
-    x = np.cos(betas)
-    c_half, s_half = np.cos(0.5 * betas)[:, None], np.sin(0.5 * betas)[:, None]
+    """``d^l_sn(beta_j)`` on the row m = s of each shell s = max(|m|, |n|), n = lo*s..hi*s,
+    as ``[(l, s, n), j]`` (degree l holds the rows s <= l by shell, then n), and where each
+    degree starts.  From d^0_00 = 1, each row starts at l = s as one product of the row
+    before it on the diagonal: d^s_sn = -sqrt(2s(2s-1)/((s+n)(s-n))) cos(beta/2) sin(beta/2)
+    d^{s-1}_{s-1,n}, or d^s_{s,+-s} = cos^2 or sin^2(beta/2) d^{s-1}_{s-1,+-(s-1)}; shell 0 also
+    starts from d^1_00 = cos beta.  Then, for all rows at once, (l-1) sqrt((l^2-s^2)(l^2-n^2)) d^l
+    = (2l-1) ((l-1) l cos beta - s n) d^{l-1} - l sqrt(((l-1)^2-s^2)((l-1)^2-n^2)) d^{l-2}."""
+    x, c, h = np.cos(betas), np.cos(0.5 * betas), np.sin(0.5 * betas)
     s, n = np.array([(q, v) for q in range(l_max + 1) for v in range(lo * q, hi * q + 1)]).T
     end = np.searchsorted(s, np.arange(l_max + 1), side="right")  # the rows s <= l
     start = np.cumsum(end) - end
+    carry = np.where(abs(n) < s, -np.sqrt(2 * s * (2 * s - 1) / np.maximum(s * s - n * n, 1)), 1)
+    trig, pick = np.stack([c * h, c * c, h * h]), np.sign(n) * (abs(n) == s)
+    parent = np.r_[0, end][s - 1] + np.clip(n - lo * (s - 1), 0, (hi - lo) * (s - 1))
     flat = np.empty((end.sum(), betas.size))
-    for l, a in enumerate(np.r_[0, end[:-1]]):  # a: the rows s < l
-        # d^l_ln = (-1)^(l-n) sqrt(C(2l, l-n)) cos^(l+n)(beta/2) sin^(l-n)(beta/2)
-        v = n[a : end[l]]
-        sign = np.where((l - v) % 2, -1.0, 1.0)
-        root = sign * np.sqrt([float(math.comb(2 * l, l - u)) for u in v])
-        flat[start[l] + a : start[l] + end[l]] = (root * c_half ** (l + v) * s_half ** (l - v)).T
-        if l == 1:
-            flat[start[1]] = x  # d^1_00 = cos beta on the row (0, 0)
-        elif l > 1:  # d^{l-2} exists on the rows s < l - 1
+    flat[0], flat[start[1:2]] = 1.0, x  # d^0_00 = 1; d^1_00 = cos beta on the row (0, 0)
+    for l, a in enumerate(end[:-1], 1):  # a: the rows s < l
+        new = np.arange(a, end[l])  # the rows s = l, each from its parent at degree l - 1
+        flat[start[l] + new] = carry[new, None] * trig[pick[new]] * flat[start[l - 1] + parent[new]]
+        if l > 1:  # d^{l-2} exists on the rows s < l - 1
             z, sa, na = end[l - 2], s[:a, None], n[:a, None]
             rec = np.subtract((l - 1) * l * x, sa * na, out=flat[start[l] : start[l] + a])
             rec *= 2 * l - 1
@@ -132,17 +130,21 @@ def _unfold(l_max: int, full: bool) -> tuple[np.ndarray, ...]:
     return maps
 
 
-def _checked_stack(l_max, columns: str, points: int, complex_blocks: bool) -> tuple[int, bool]:
-    """``l_max`` as an int and whether ``columns`` is "all", refused before
-    anything is allocated if the stack's peak would pass the table cap: per
-    block entry, 11 doubles for :func:`_unfold`'s temporaries and, at each
-    angle, one for the stack (three with complex blocks), plus one per
-    :func:`_shell_rows` row and angle (above every tracemalloc peak measured)."""
-    l_max, full = _checked_int(l_max, "l_max", 0), _validate_columns(columns) == "all"
+def _stack_bytes(l_max: int, full: bool, points: int, complex_blocks: bool) -> int:
+    """A Wigner stack's peak: per block entry, 11 doubles for :func:`_unfold`'s
+    temporaries and, at each angle, one for the stack (three with complex
+    blocks), plus one per :func:`_shell_rows` row and angle (above every
+    tracemalloc peak measured)."""
     d = l_max + 1
     entries = d * (2 * d - 1) * (2 * d + 1) // 3 if full else d * d
     rows = d * (d + 1) * (2 * d + 1) // 6 if full else d * (d + 1) // 2
-    need = 8 * (entries * (11 + points * (1 + 2 * complex_blocks)) + rows * points)
+    return 8 * (entries * (11 + points * (1 + 2 * complex_blocks)) + rows * points)
+
+
+def _checked_stack(l_max, columns: str, points: int, complex_blocks: bool) -> tuple[int, bool]:
+    """``l_max`` as an int and whether ``columns`` is "all"; over the cap, refused first."""
+    l_max, full = _checked_int(l_max, "l_max", 0), _validate_columns(columns) == "all"
+    need = _stack_bytes(l_max, full, points, complex_blocks)
     _check_cap(need, f"Wigner blocks to l_max {l_max} at {points} angles")
     return l_max, full
 
@@ -225,6 +227,11 @@ def spherical_harmonics(l_max: int, alpha: float, beta: float) -> list[np.ndarra
     return [blk[0] for blk in stack]
 
 
+def _shell_bytes(b: int, columns: str) -> int:
+    """Bytes :attr:`WignerTables.shells` holds: 2b angles of each degree's rows s <= l."""
+    return 8 * 2 * b * (b * (b + 1) * (b + 2) // 6 if columns == "all" else b * (b + 1) // 2)
+
+
 def estimate_table_bytes(bandwidth: int, columns: str = "all") -> int:
     """Bytes needed for the ``d^l`` sample tables at one bandwidth."""
     b = validate_bandwidth(bandwidth)
@@ -261,9 +268,11 @@ class WignerTables:
         (n = 0 alone for the n = 0 column): all the fast transforms read of
         each shell s = max(m, |n|), through d^l_ms = (-1)^(m-s) d^l_sm,
         d^l_{m,-s} = d^l_{s,-m} and d^l_{s,-n}(beta) = (-1)^(l+s) d^l_sn(pi -
-        beta), as the rings are mirror-symmetric.  About an eighth of ``d``,
-        and counted against :func:`build_tables`' cap."""
+        beta), as the rings are mirror-symmetric.  About an eighth of ``d``, counted
+        against :func:`build_tables`' cap; the first read, which peaks at twice that
+        (the degree-major rows, then their gathered copy), is refused over the table cap."""
         b, half = self.bandwidth, int(self.columns == "all")
+        _check_cap(2 * _shell_bytes(b, self.columns), f"Wigner shells at bandwidth {b}")
         flat, start = _shell_rows(b - 1, beta_samples(b), 0, half)
         k = 1 + half * np.arange(b)  # rows per shell, each degree holding them in turn
         first = np.cumsum(k) - k
@@ -281,8 +290,7 @@ def build_tables(
     plus :attr:`WignerTables.shells`, is estimated first; over
     ``memory_cap_bytes`` it raises :class:`ResourceLimitError`."""
     b = validate_bandwidth(bandwidth)
-    rows = b * (b + 1) * (b + 2) // 6 if columns == "all" else b * (b + 1) // 2
-    estimate = estimate_table_bytes(b, columns) + 8 * 2 * b * rows
+    estimate = estimate_table_bytes(b, columns) + _shell_bytes(b, columns)
     _check_cap(estimate, f"d tables and shells at bandwidth {b}", memory_cap_bytes)
     return WignerTables(b, ring_weights(b), columns)
 

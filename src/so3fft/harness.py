@@ -41,8 +41,8 @@ from .gft import (
     so3_fft_forward,
 )
 from .grids import _checked_int, random_rotation, validate_bandwidth
-from .harmonics import _check_cap, cached_tables, estimate_table_bytes
-from .oracle import rotate_so3_by_resampling
+from .harmonics import _check_cap, _stack_bytes, cached_tables, estimate_table_bytes
+from .oracle import _CHUNK, rotate_so3_by_resampling
 
 __all__ = [
     "DIRECT_BENCH_CAPS",
@@ -164,7 +164,9 @@ def _run_bytes(config: EquivarianceConfig, workers: int) -> int:
     build = 3 * k * n**3 * 16
     # each trial in flight keeps a handful of K-channel grids alive at once;
     # traced peaks grow by 50-60 bytes per k n^3 a trial, so 8 real copies
-    trial = 8 * k * n**3 * 8
+    # a resampling rotation holds one wigner_D_stack chunk while it builds the next
+    resample = 2 * _stack_bytes(config.bandwidth - 1, True, _CHUNK, True)
+    trial = 8 * k * n**3 * 8 + resample * (config.rotation_source == "resampling")
     return tables + banks + build + min(workers, config.trials) * trial
 
 
