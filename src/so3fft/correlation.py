@@ -201,7 +201,7 @@ def relu_spatial(signal):
 
 def _rotate_spectrum(spectrum, rotation: Rotation):
     d = wigner_D_matrices(spectrum.bandwidth - 1, rotation)
-    out = spectrum.copy()
+    out = type(spectrum).zeros(spectrum.bandwidth, spectrum.channels)
     for l in range(spectrum.bandwidth):
         out.columns(l)[:] = np.einsum(
             "mp,kpn->kmn", d[l].conj(), spectrum.columns(l)

@@ -316,12 +316,13 @@ def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
     anti-Hermitian half, which would synthesise to ``i * Im f``: the defect
     at (l, -m, -n) equals that at (l, m, n), so these rows see all of it."""
     d = spectrum.data
-    if not np.all(np.isfinite(d)):
+    scale = np.max(np.abs(d))  # a NaN or an infinity anywhere makes it so
+    if not np.isfinite(scale):
         raise ValueError("spectrum contains non-finite coefficients")
     pos, mirror, parity = _shell_order(spectrum.bandwidth, type(spectrum))[:3]
     coeffs = d.T[pos]
     defect = 0.5 * np.max(np.abs(coeffs - parity[:, None] * d.T[mirror].conj()))
-    return coeffs, _guarded(defect, np.max(np.abs(d)), "in the spectrum")
+    return coeffs, _guarded(defect, scale, "in the spectrum")
 
 
 def _shell_products(t: WignerTables, b: int, gammas: int, coeffs: np.ndarray):

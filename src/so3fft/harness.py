@@ -1,9 +1,9 @@
 """Equivariance-error experiment and fast-vs-direct timing harness.
 
 The experiment builds a stack of rotation-group correlation layers with
-seeded random bandlimited filters, pushes random bandlimited inputs
-through it, and measures how far "rotate then apply" drifts from "apply
-then rotate":
+seeded random bandlimited filters, pushes random grid draws through it
+(the first analysis that reads a draw projects it onto the bandlimit),
+and measures how far "rotate then apply" drifts from "apply then rotate":
 
     delta = mean_i  std(L_{R_i} Phi(f_i) - Phi(L_{R_i} f_i)) / std(Phi(f_i))
 
@@ -20,7 +20,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .gft import (
     _TRANSFORMS,
     SO3Signal,
     SO3Spectrum,
-    bandlimit_so3,
     so3_coefficient_count,
     so3_fft_forward,
 )
@@ -163,9 +162,10 @@ def _run_bytes(config: EquivarianceConfig, workers: int) -> int:
     # once, before the trials start
     build = 3 * k * n**3 * 16
     # each trial in flight keeps a handful of K-channel grids alive at once;
-    # traced peaks grow by 50-60 bytes per k n^3 a trial, so 8 real copies
-    # a resampling rotation holds one wigner_D_stack chunk while it builds the next
-    resample = 2 * _stack_bytes(config.bandwidth - 1, True, _CHUNK, True)
+    # traced peaks grow by 50-60 bytes per k n^3 a trial, so 8 real copies.
+    # A resampling rotation holds one wigner_D_stack chunk at a time; with its
+    # analysis and sums beside it, traced peaks fit 3/2 chunks (one was short)
+    resample = 3 * _stack_bytes(config.bandwidth - 1, True, _CHUNK, True) // 2
     trial = 8 * k * n**3 * 8 + resample * (config.rotation_source == "resampling")
     return tables + banks + build + min(workers, config.trials) * trial
 
@@ -204,12 +204,9 @@ def run_equivariance(
                 blk /= rms
         banks.append(spec)
 
-    if config.rotation_source == "spectral":
-        def rotate(sig, rot):
-            return rotate_so3_spectral(sig, rot, tables)
-    else:
-        def rotate(sig, rot):
-            return rotate_so3_by_resampling(sig, rot)
+    # the spectral rotation gets the run's tables: workers never read the cache
+    spectral = config.rotation_source == "spectral"
+    rotate = partial(rotate_so3_spectral, tables=tables) if spectral else rotate_so3_by_resampling
 
     def pipeline(sig: SO3Signal) -> SO3Signal:
         for bank in banks:
@@ -225,7 +222,7 @@ def run_equivariance(
             if config.zero_inputs
             else rng.standard_normal((k, n, n, n))
         )
-        f = bandlimit_so3(SO3Signal(b, raw), tables)
+        f = SO3Signal(b, raw)  # unprojected: every consumer analyses f first
         rot = random_rotation(rng)
         applied = pipeline(f)
         applied_after_rotate = pipeline(rotate(f, rot))

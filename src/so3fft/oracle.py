@@ -50,7 +50,7 @@ __all__ = [
 S2_DIRECT_BANDWIDTH_CAP = 8
 SO3_DIRECT_BANDWIDTH_CAP = 3
 
-_CHUNK = 512
+_CHUNK = 512  # rotations per Wigner stack; one chunk's stack is held at a time
 
 
 def _checked(psi, f, cap: int, force: bool, what: str) -> int:
@@ -110,6 +110,7 @@ def _synthesize_at(spectrum, alphas, betas, gammas=0.0) -> np.ndarray:
             out[:, sl] += (2 * l + 1) * np.einsum(
                 "kmn,pmn->kp", spectrum.columns(l), dd[l]
             )
+        del dd  # freed before the next chunk's stack is built
     return out
 
 
