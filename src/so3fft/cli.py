@@ -13,11 +13,7 @@ import json
 import sys
 
 from ._parallel import THREADS_ENV
-from .correlation import (
-    multichannel_correlate,
-    rotate_s2_spectral,
-    rotate_so3_spectral,
-)
+from .correlation import multichannel_correlate, rotate_so3_spectral
 from .gft import _KIND_TYPES, _TRANSFORMS, GuardError, S2Signal, SO3Signal
 from .grids import Rotation, _checked_int
 from .harness import (
@@ -29,7 +25,7 @@ from .harness import (
     write_reports_jsonl,
 )
 from .harmonics import ResourceLimitError
-from .oracle import rotate_s2_by_resampling, rotate_so3_by_resampling
+from .oracle import rotate_so3_by_resampling
 from .signals import (
     ContainerError,
     molecule_channels,
@@ -126,11 +122,8 @@ def _cmd_correlate(args) -> int:
 def _cmd_rotate(args) -> int:
     obj = _read(args.input, S2Signal, SO3Signal)
     rotation = Rotation(args.alpha, args.beta, args.gamma)
-    if isinstance(obj, S2Signal):
-        fn = rotate_s2_spectral if args.method == "spectral" else rotate_s2_by_resampling
-    else:
-        fn = rotate_so3_spectral if args.method == "spectral" else rotate_so3_by_resampling
-    out = fn(obj, rotation)
+    rotate = rotate_so3_spectral if args.method == "spectral" else rotate_so3_by_resampling
+    out = rotate(obj, rotation)
     write_container(args.output, out)
     print(
         f"rotated by (alpha={rotation.alpha:.6g}, beta={rotation.beta:.6g}, "

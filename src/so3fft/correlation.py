@@ -118,26 +118,18 @@ def _split_bank(bank, k_in: int, out_channels: int | None) -> int:
     return out_channels
 
 
-def s2_correlate(
-    psi: S2Signal,
-    f: S2Signal,
-    plan: CorrelationPlan | None = None,
-    bandwidth_out: int | None = None,
-) -> SO3Signal:
-    """Correlation of a filter with a signal over all rotations; channels
-    are matched pairwise and summed, giving a single output channel."""
-    return multichannel_correlate(psi, f, plan, bandwidth_out, out_channels=1)
-
-
 def so3_correlate(
-    psi: SO3Signal,
-    f: SO3Signal,
+    psi,
+    f,
     plan: CorrelationPlan | None = None,
     bandwidth_out: int | None = None,
 ) -> SO3Signal:
-    """Correlation on the rotation group itself: per degree a plain matrix
-    product of the coefficient blocks."""
+    """Correlation of a filter with a signal over all rotations, on either domain;
+    channels are matched pairwise and summed, giving a single output channel."""
     return multichannel_correlate(psi, f, plan, bandwidth_out, out_channels=1)
+
+
+s2_correlate = so3_correlate
 
 
 def multichannel_correlate(
@@ -199,7 +191,9 @@ def relu_spatial(signal):
     return type(signal)(signal.bandwidth, np.maximum(signal.samples, 0.0))
 
 
-def _rotate_spectrum(spectrum, rotation: Rotation):
+def rotate_so3_spectrum(spectrum, rotation: Rotation):
+    """Coefficients of ``x -> f(R^-1 x)`` on either domain: left-multiply
+    each degree's columns by the conjugate rotation matrix."""
     d = wigner_D_matrices(spectrum.bandwidth - 1, rotation)
     out = type(spectrum).zeros(spectrum.bandwidth, spectrum.channels)
     for l in range(spectrum.bandwidth):
@@ -209,30 +203,17 @@ def _rotate_spectrum(spectrum, rotation: Rotation):
     return out
 
 
-def rotate_s2_spectrum(spectrum: S2Spectrum, rotation: Rotation) -> S2Spectrum:
-    """Coefficients of ``x -> f(R^-1 x)``: left-multiply each degree's
-    columns by the conjugate rotation matrix."""
-    return _rotate_spectrum(spectrum, rotation)
+def rotate_so3_spectral(signal, rotation: Rotation, tables: WignerTables | None = None):
+    """Rotate by a round trip through coefficient space, on either domain;
+    exact for bandlimited signals, unlike any pointwise interpolation."""
+    on_sphere = isinstance(signal, S2Signal)
+    spec = (s2_fft_forward if on_sphere else so3_fft_forward)(signal, tables)
+    spec = rotate_so3_spectrum(spec, rotation)
+    return (s2_fft_inverse if on_sphere else so3_fft_inverse)(spec, tables)
 
 
-def rotate_so3_spectrum(spectrum: SO3Spectrum, rotation: Rotation) -> SO3Spectrum:
-    return _rotate_spectrum(spectrum, rotation)
-
-
-def rotate_s2_spectral(
-    signal: S2Signal, rotation: Rotation, tables: WignerTables | None = None
-) -> S2Signal:
-    """Rotate by a round trip through coefficient space; exact for
-    bandlimited signals, unlike any pointwise interpolation."""
-    spec = rotate_s2_spectrum(s2_fft_forward(signal, tables), rotation)
-    return s2_fft_inverse(spec, tables)
-
-
-def rotate_so3_spectral(
-    signal: SO3Signal, rotation: Rotation, tables: WignerTables | None = None
-) -> SO3Signal:
-    spec = rotate_so3_spectrum(so3_fft_forward(signal, tables), rotation)
-    return so3_fft_inverse(spec, tables)
+rotate_s2_spectrum = rotate_so3_spectrum
+rotate_s2_spectral = rotate_so3_spectral
 
 
 def dh_convolve(

@@ -530,11 +530,11 @@ def lift_s2_to_so3(signal: S2Signal) -> SO3Signal:
     return SO3Signal(signal.bandwidth, np.ascontiguousarray(samples))
 
 
-def bandlimit_s2(signal: S2Signal, tables: WignerTables | None = None) -> S2Signal:
-    """Project onto the bandlimited subspace (forward then inverse)."""
-    return s2_fft_inverse(s2_fft_forward(signal, tables), tables)
+def bandlimit_so3(signal, tables: WignerTables | None = None):
+    """Project onto the bandlimited subspace (forward then inverse), on either domain."""
+    on_sphere = isinstance(signal, S2Signal)
+    spec = (s2_fft_forward if on_sphere else so3_fft_forward)(signal, tables)
+    return (s2_fft_inverse if on_sphere else so3_fft_inverse)(spec, tables)
 
 
-def bandlimit_so3(signal: SO3Signal, tables: WignerTables | None = None) -> SO3Signal:
-    """Project onto the bandlimited subspace (forward then inverse)."""
-    return so3_fft_inverse(so3_fft_forward(signal, tables), tables)
+bandlimit_s2 = bandlimit_so3

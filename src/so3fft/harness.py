@@ -20,7 +20,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -80,6 +80,10 @@ class EquivarianceConfig:
         counts = (("bandwidth", 1), ("layers", 1), ("channels", 1), ("trials", 1), ("seed", 0))
         for name, low in counts:  # stored as ints, numpy integers included
             object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
+        for name in ("with_relu", "zero_inputs"):  # stored as bools, numpy's included
+            if not isinstance(value := getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         if self.rotation_source not in _ROTATION_SOURCES:
             raise ValueError(
                 f"rotation_source must be one of {_ROTATION_SOURCES}, "
@@ -204,9 +208,8 @@ def run_equivariance(
                 blk /= rms
         banks.append(spec)
 
-    # the spectral rotation gets the run's tables: workers never read the cache
     spectral = config.rotation_source == "spectral"
-    rotate = partial(rotate_so3_spectral, tables=tables) if spectral else rotate_so3_by_resampling
+    rotate = rotate_so3_spectral if spectral else rotate_so3_by_resampling
 
     def pipeline(sig: SO3Signal) -> SO3Signal:
         for bank in banks:

@@ -80,22 +80,16 @@ def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ascontiguousarray(values.real), _guarded(imag, real, "after synthesis")
 
 
-def s2_project_direct(signal: S2Signal) -> S2Spectrum:
+def so3_project_direct(signal):
     """Coefficients by explicit weighted sums of every grid sample against
-    the sampled ``conj(Y^l_m)``."""
+    the sampled ``conj(D^l_mn)`` (``conj(Y^l_m)`` on the sphere)."""
     return _dft_forward(*_on_rotation_grid(signal), None)
 
 
-def so3_project_direct(signal: SO3Signal) -> SO3Spectrum:
-    """Coefficients by explicit weighted sums of every grid sample against
-    the sampled ``conj(D^l_mn)``."""
-    return _dft_forward(*_on_rotation_grid(signal), None)
-
-
-def _synthesize_at(spectrum, alphas, betas, gammas=0.0) -> np.ndarray:
-    """The synthesis sum at arbitrary rotations, complex ``(channels,
-    npoints)``; a sphere spectrum reads only ``D^l_m0``, which needs no
-    gamma."""
+def synthesize_so3_at(spectrum, alphas, betas, gammas=0.0) -> np.ndarray:
+    """Evaluate the synthesis sum at arbitrary rotations; returns complex
+    values shaped ``(channels, npoints)``.  A sphere spectrum reads only
+    ``D^l_m0``, which needs no gamma."""
     alphas = np.asarray(alphas, dtype=np.float64).ravel()
     betas = np.asarray(betas, dtype=np.float64).ravel()
     gammas = np.asarray(gammas, dtype=np.float64).ravel()
@@ -114,18 +108,6 @@ def _synthesize_at(spectrum, alphas, betas, gammas=0.0) -> np.ndarray:
     return out
 
 
-def synthesize_s2_at(spectrum: S2Spectrum, alphas, betas) -> np.ndarray:
-    """Evaluate the synthesis sum at arbitrary points; returns complex
-    values shaped ``(channels, npoints)``."""
-    return _synthesize_at(spectrum, alphas, betas)
-
-
-def synthesize_so3_at(spectrum: SO3Spectrum, alphas, betas, gammas) -> np.ndarray:
-    """Evaluate the synthesis sum at arbitrary rotations; returns complex
-    values shaped ``(channels, npoints)``."""
-    return _synthesize_at(spectrum, alphas, betas, gammas)
-
-
 def _grid_matrices(bandwidth: int, gammas: int) -> np.ndarray:
     """Rotation matrices of the grid samples with the first ``gammas`` gamma
     samples, ``(2b, 2b, gammas, 3, 3)`` in (beta, alpha, gamma) layout to
@@ -141,25 +123,21 @@ def so3_grid_matrices(bandwidth: int) -> np.ndarray:
     return _grid_matrices(bandwidth, 2 * bandwidth)
 
 
-def _rotate_by_resampling(signal, rotation: Rotation):
+def rotate_so3_by_resampling(signal, rotation: Rotation):
+    """``f(R^-1 Q)`` at every grid point Q of either domain, via synthesis
+    at the rotated points; exact for bandlimited inputs."""
     b = signal.bandwidth
     samples, spectrum_cls = _on_rotation_grid(signal)
     spec = _dft_forward(samples, spectrum_cls, None)
     mats = rotation.matrix.T @ _grid_matrices(b, samples.shape[3])  # R^-1 Q
     alphas, betas, gammas = matrix_to_euler(mats.reshape(-1, 3, 3))
-    values, residue = _realized(_synthesize_at(spec, alphas, betas, gammas))
+    values, residue = _realized(synthesize_so3_at(spec, alphas, betas, gammas))
     return type(signal)(b, values.reshape(signal.samples.shape), imag_residue=residue)
 
 
-def rotate_s2_by_resampling(signal: S2Signal, rotation: Rotation) -> S2Signal:
-    """``f(R^-1 x)`` at every grid point, via synthesis at the rotated
-    points; exact for bandlimited inputs."""
-    return _rotate_by_resampling(signal, rotation)
-
-
-def rotate_so3_by_resampling(signal: SO3Signal, rotation: Rotation) -> SO3Signal:
-    """``f(R^-1 Q)`` at every grid rotation Q, via synthesis."""
-    return _rotate_by_resampling(signal, rotation)
+s2_project_direct = so3_project_direct
+synthesize_s2_at = synthesize_so3_at
+rotate_s2_by_resampling = rotate_so3_by_resampling
 
 
 def _psi_at_pairs(psi, bandwidth_out: int):
@@ -174,7 +152,7 @@ def _psi_at_pairs(psi, bandwidth_out: int):
     for start in range(0, len(rotations), step):
         sl = slice(start, start + step)
         pair = np.einsum("nba,pbc->npac", rotations[sl], points, optimize=True)
-        vals = _synthesize_at(spec, *matrix_to_euler(pair.reshape(-1, 3, 3))).real
+        vals = synthesize_so3_at(spec, *matrix_to_euler(pair.reshape(-1, 3, 3))).real
         yield sl, vals.reshape(psi.channels, -1, len(points))
 
 

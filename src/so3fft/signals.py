@@ -578,6 +578,10 @@ def read_container(path):
             raise TruncatedError(f"{path}: checksum missing")
         if file_size > offset + size + 8:
             raise ContainerError(f"{path}: trailing bytes after checksum")
+        if header["layout"] != _KINDS[kind][2]:
+            raise ContainerError(
+                f"{path}: layout {header['layout']!r} does not match type {kind!r}"
+            )
         # the payload is read once, straight into the returned arrays
         flat = np.empty(count, dtype=_ELEMENTS[dtype])
         got = fh.readinto(flat.view(np.uint8))
