@@ -11,7 +11,9 @@ spherical convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +33,7 @@ from .harmonics import WignerTables, cached_tables, wigner_D_matrices
 
 __all__ = [
     "CorrelationPlan",
+    "PreparedBank",
     "dh_convolve",
     "make_correlation_plan",
     "multichannel_correlate",
@@ -47,15 +50,63 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
+class PreparedBank:
+    """A bank spectrum of ``domain`` arranged for the product once: degree l's
+    read-only operand is the contiguous ``(out_channels * (2l+1),
+    in_channels * columns)`` matrix of its blocks, for l < ``len(operands)``."""
+
+    domain: type
+    bandwidth: int
+    channels: int
+    operands: tuple
+
+
+def _arrange(parts, k_out: int, k_in: int, b_out: int, rescale=None) -> PreparedBank:
+    """The one writer of that layout: bank spectra holding whole output
+    channels, in order.  ``rescale`` maps a degree's blocks, as a C-contiguous
+    ``(k_out * k_in, 2l+1, columns)`` copy, to the divisor of that degree."""
+    ops, o = None, 0
+    for part in parts:
+        if ops is None:  # one buffer, degree-major like a spectrum's data
+            at = k_out * k_in * part._count(np.arange(b_out + 1))
+            buf = np.empty(at[-1], complex)
+            ops = [buf[at[l] : at[l + 1]].reshape(k_out, 2 * l + 1, k_in, -1) for l in range(b_out)]
+        j = part.channels // k_in
+        for l, op in enumerate(ops):  # op[o, p, k, n] = psi[o * k_in + k, p, n]
+            op[o : o + j] = part.columns(l).reshape(j, k_in, 2 * l + 1, -1).transpose(0, 2, 1, 3)
+        o += j
+    for op in ops:
+        if rescale is not None:
+            op /= rescale(np.ascontiguousarray(op.transpose(0, 2, 1, 3)))
+        op.flags.writeable = False
+    operands = tuple(op.reshape(k_out * op.shape[1], -1) for op in ops)
+    return PreparedBank(type(part), part.bandwidth, k_out * k_in, operands)
+
+
+@dataclass(frozen=True, eq=False)
 class CorrelationPlan:
     """Tables for repeated correlations at fixed shapes.  The output tables
     are built with the plan; the input tables on first use by each input
     domain, and then pinned: every column for rotation-group signals, the
-    n = 0 column alone for sphere signals."""
+    n = 0 column alone for sphere signals.  A bank spectrum passed with the
+    plan is arranged on first use and kept, per ``out_channels``, while it
+    lives; its ``data`` is made read-only (earlier views of it cannot be)."""
 
     bandwidth_in: int
     bandwidth_out: int
     tables_out: WignerTables
+    _banks: dict = field(default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+    _lock: object = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def _prepared(self, bank, k_out: int) -> PreparedBank:
+        with self._lock:  # pool threads may share a plan
+            held = self._banks.setdefault(bank, {})
+            data, prepared = held.get(k_out, (None, None))
+            if data is not bank.data:  # first use, or ``data`` rebound since
+                bank.data.flags.writeable = False
+                prepared = _arrange([bank], k_out, bank.channels // k_out, self.bandwidth_out)
+                held[k_out] = bank.data, prepared
+            return prepared
 
     @cached_property
     def tables_in(self) -> WignerTables:
@@ -144,32 +195,40 @@ def multichannel_correlate(
     The bank carries ``out_channels * f.channels`` channels, laid out with
     the input channel varying fastest; output channel o is the sum over
     input channels k of the correlation of bank channel ``o * K + k`` with
-    signal channel k.  The bank may be passed pre-transformed (as a
-    spectrum on the same domain), which callers applying one bank to many
-    signals should do.
+    signal channel k.  The bank may be passed pre-transformed, as a
+    spectrum on the same domain or as a :class:`PreparedBank`, which
+    callers applying one bank to many signals should do.  A bank spectrum
+    passed with a plan becomes read-only (see :class:`CorrelationPlan`):
+    do not write through views of it taken earlier.
     """
     on_sphere = isinstance(f, S2Signal)
     spec_cls = S2Spectrum if on_sphere else SO3Spectrum
     k_in = f.channels
     k_out = _split_bank(bank, k_in, out_channels)
+    keep = plan is not None  # only a caller's plan keeps (and freezes) a bank spectrum
     plan = _resolve_plan(f, bank, plan, bandwidth_out)
+    b_out = plan.bandwidth_out
 
     # the product reads only the degrees l < b_out, so only they are analysed
     fwd = s2_fft_forward if on_sphere else so3_fft_forward
     tables_in = plan.tables_in_s2 if on_sphere else plan.tables_in
-    fs = fwd(f, tables_in, bandwidth_out=plan.bandwidth_out)
-    if isinstance(bank, spec_cls):
+    if isinstance(bank, PreparedBank) and bank.domain is spec_cls:
         ps = bank
+    elif isinstance(bank, spec_cls):
+        ps = plan._prepared(bank, k_out) if keep else _arrange([bank], k_out, k_in, b_out)
     elif type(bank) is type(f):
-        ps = fwd(bank, tables_in, bandwidth_out=plan.bandwidth_out)
+        ps = _arrange([fwd(bank, tables_in, bandwidth_out=b_out)], k_out, k_in, b_out)
     else:
         raise ValueError("bank and signal must live on the same domain")
-    out = SO3Spectrum.zeros(plan.bandwidth_out, k_out)
-    for l in range(plan.bandwidth_out):
+    if ps.operands[0].shape != (k_out, k_in) or len(ps.operands) < b_out:
+        raise ValueError(f"bank prepared as {ps.operands[0].shape} below {len(ps.operands)}")
+    fs = fwd(f, tables_in, bandwidth_out=b_out)
+    out = SO3Spectrum.zeros(b_out, k_out)
+    for l in range(b_out):
         # conj(sum_kn conj(f[k,m,n]) psi[o,k,p,n]) conjugates the signal, not the
         # larger bank; on the sphere both column views hold the n = 0 column
-        bank_l = ps.columns(l).reshape(k_out, k_in, 2 * l + 1, -1)
-        prod = np.tensordot(bank_l, fs.columns(l).conj(), axes=([1, 3], [0, 2]))
+        fc = np.conjugate(fs.columns(l).transpose(0, 2, 1), order="C").reshape(-1, 2 * l + 1)
+        prod = np.dot(ps.operands[l], fc).reshape(k_out, 2 * l + 1, 2 * l + 1)
         np.conjugate(prod.transpose(0, 2, 1), out=out.blocks(l))
     return so3_fft_inverse(out, plan.tables_out)
 

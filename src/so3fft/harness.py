@@ -26,6 +26,7 @@ import numpy as np
 
 from ._parallel import THREADS_ENV, blas_threads, parallel_map, resolve_threads
 from .correlation import (
+    _arrange,
     make_correlation_plan,
     multichannel_correlate,
     relu_spatial,
@@ -35,7 +36,6 @@ from .gft import (
     _KIND_TYPES,
     _TRANSFORMS,
     SO3Signal,
-    SO3Spectrum,
     so3_coefficient_count,
     so3_fft_forward,
 )
@@ -174,6 +174,23 @@ def _run_bytes(config: EquivarianceConfig, workers: int) -> int:
     return tables + banks + build + min(workers, config.trials) * trial
 
 
+def _filter_banks(config: EquivarianceConfig) -> list:
+    """The layers' prepared banks, each drawn and transformed one output
+    channel (k filters) at a time: the draws are those of one (k*k, ...)
+    draw, the working set that of a k-channel transform.  Each degree is
+    flattened to unit RMS: the transform of white grid noise is colored, and
+    without this every layer low-passes the stack a little more, which drags
+    the ReLU drift DOWN with depth instead of keeping it flat."""
+    b, k = config.bandwidth, config.channels
+    rng, tables = np.random.default_rng((config.seed, 0, 0)), cached_tables(b)
+    draw = (k,) + (2 * b,) * 3  # one output channel's k filters
+    banks = []
+    for _ in range(config.layers):
+        parts = (so3_fft_forward(SO3Signal(b, rng.standard_normal(draw)), tables) for _ in range(k))
+        banks.append(_arrange(parts, k, k, b, lambda blk: np.sqrt(np.mean(abs(blk) ** 2)) or 1.0))
+    return banks
+
+
 def run_equivariance(
     config: EquivarianceConfig, threads: int | None = None
 ) -> EquivarianceReport:
@@ -184,29 +201,8 @@ def run_equivariance(
     b = config.bandwidth
     k = config.channels
     n = 2 * b
-    tables = cached_tables(b)
     plan = make_correlation_plan(b)
-
-    filter_rng = np.random.default_rng((config.seed, 0, 0))
-    banks = []
-    for _ in range(config.layers):
-        # keeping the spectrum IS the bandlimited filter, transformed once here,
-        # one output channel (k filters) at a time: the draws are those of one
-        # (k*k, ...) draw, the working set that of a k-channel transform
-        spec = SO3Spectrum.zeros(b, k * k)
-        for o in range(k):
-            raw = SO3Signal(b, filter_rng.standard_normal((k, n, n, n)))
-            spec.data[o * k : (o + 1) * k] = so3_fft_forward(raw, tables).data
-        # flatten each degree to unit RMS: the transform of white grid noise
-        # is colored, and without this every layer low-passes the stack a
-        # little more, which drags the ReLU drift DOWN with depth instead of
-        # keeping it flat
-        for l in range(b):
-            blk = spec.blocks(l)
-            rms = np.sqrt(np.mean(np.abs(blk) ** 2))
-            if rms > 0.0:
-                blk /= rms
-        banks.append(spec)
+    banks = _filter_banks(config)
 
     spectral = config.rotation_source == "spectral"
     rotate = rotate_so3_spectral if spectral else rotate_so3_by_resampling
