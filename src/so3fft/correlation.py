@@ -28,7 +28,7 @@ from .gft import (
     so3_fft_forward,
     so3_fft_inverse,
 )
-from .grids import Rotation, _checked_int, make_so3_grid, validate_bandwidth
+from .grids import Rotation, _checked_int, _frozen, make_so3_grid, validate_bandwidth
 from .harmonics import WignerTables, cached_tables, wigner_D_matrices
 
 __all__ = [
@@ -75,11 +75,10 @@ def _arrange(parts, k_out: int, k_in: int, b_out: int, rescale=None) -> Prepared
         for l, op in enumerate(ops):  # op[o, p, k, n] = psi[o * k_in + k, p, n]
             op[o : o + j] = part.columns(l).reshape(j, k_in, 2 * l + 1, -1).transpose(0, 2, 1, 3)
         o += j
-    for op in ops:
-        if rescale is not None:
+    if rescale is not None:
+        for op in ops:
             op /= rescale(np.ascontiguousarray(op.transpose(0, 2, 1, 3)))
-        op.flags.writeable = False
-    operands = tuple(op.reshape(k_out * op.shape[1], -1) for op in ops)
+    operands = tuple(_frozen(op.reshape(k_out * op.shape[1], -1)) for op in ops)
     return PreparedBank(type(part), part.bandwidth, k_out * k_in, operands)
 
 
@@ -254,11 +253,9 @@ def rotate_so3_spectrum(spectrum, rotation: Rotation):
     """Coefficients of ``x -> f(R^-1 x)`` on either domain: left-multiply
     each degree's columns by the conjugate rotation matrix."""
     d = wigner_D_matrices(spectrum.bandwidth - 1, rotation)
-    out = type(spectrum).zeros(spectrum.bandwidth, spectrum.channels)
-    for l in range(spectrum.bandwidth):
-        out.columns(l)[:] = np.einsum(
-            "mp,kpn->kmn", d[l].conj(), spectrum.columns(l)
-        )
+    out = type(spectrum)(spectrum.bandwidth, np.empty_like(spectrum.data))
+    for l, dl in enumerate(d):  # every block is written
+        np.matmul(dl.conj(), spectrum.columns(l), out=out.columns(l))
     return out
 
 
@@ -284,10 +281,7 @@ def dh_convolve(
     _check_pair(psi, f)
     fs = s2_fft_forward(f, tables)
     ps = s2_fft_forward(psi, tables)
-    out = S2Spectrum.zeros(f.bandwidth, 1)
-    for l in range(f.bandwidth):
-        # only the m = 0 line of the filter enters
-        out.blocks(l)[0] = np.einsum(
-            "km,k->m", fs.blocks(l), ps.blocks(l)[:, l]
-        )
+    out = S2Spectrum(f.bandwidth, np.empty_like(fs.data[:1]))
+    for l in range(f.bandwidth):  # only the m = 0 entry of the filter enters
+        np.matmul(ps.blocks(l)[:, l], fs.blocks(l), out=out.blocks(l)[0])
     return s2_fft_inverse(out, tables)

@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import _checked_int, angle_samples, validate_bandwidth
+from .grids import _checked_int, _frozen, angle_samples, validate_bandwidth
 from .harmonics import WignerTables, _phases, cached_tables
 
 __all__ = [
@@ -200,11 +200,8 @@ class _SpectrumBase:
     def weighted_energy(self) -> np.ndarray:
         """Per-channel ``sum_l (2l+1) * ||block_l||_F^2`` (the quadrature
         squared L2 norm of the synthesised signal, by Parseval)."""
-        out = np.zeros(self.channels)
-        for l in range(self.bandwidth):
-            blk = self.blocks(l).reshape(self.channels, -1)
-            out += (2 * l + 1) * np.sum(np.abs(blk) ** 2, axis=1)
-        return out
+        l = np.arange(self.bandwidth)
+        return np.abs(self.data) ** 2 @ np.repeat(2.0 * l + 1, (2 * l + 1) ** self._axes)
 
 
 class S2Spectrum(_SpectrumBase):
@@ -304,10 +301,7 @@ def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     # (-1)^(m-s) on the column n = s > m; (-1)^(l+s) where n < 0 reads a mirror
     flips = np.where(n < 0, l + s, m - s)
     parity, sign = (1.0 - 2.0 * (f & 1) for f in (m - n, flips))
-    maps = (pos, mirror, parity, sign, 2 * l + 1)
-    for a in maps:
-        a.flags.writeable = False  # shared by every caller
-    return maps
+    return tuple(map(_frozen, (pos, mirror, parity, sign, 2 * l + 1)))
 
 
 def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
@@ -348,8 +342,7 @@ def _alpha_dft(n: int, rows: int, inverse: bool) -> np.ndarray:
     phase = (2 * np.pi / n) * (np.outer(np.arange(n), m) % n)  # from (m a) mod n
     scale = np.where(m > 0, 2.0, 1.0) if inverse else np.full(rows, 1 / n)
     dft = (np.stack([np.cos(phase), -np.sin(phase)], 2) * scale[:, None]).reshape(n, -1)
-    dft.flags.writeable = False  # shared by every caller
-    return dft
+    return _frozen(dft)
 
 
 def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):

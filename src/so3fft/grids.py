@@ -64,6 +64,12 @@ def _checked_int(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: it is shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
 def validate_bandwidth(bandwidth) -> int:
     """Return ``bandwidth`` as an int, rejecting anything that is not >= 1."""
     return _checked_int(bandwidth, "bandwidth", 1)

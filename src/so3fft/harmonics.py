@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grids import Rotation, _checked_int, beta_samples, ring_weights, validate_bandwidth
+from .grids import Rotation, _checked_int, _frozen, beta_samples, ring_weights, validate_bandwidth
 
 __all__ = [
     "COLUMN_SETS",
@@ -125,9 +125,7 @@ def _unfold(l_max: int, full: bool) -> tuple[np.ndarray, ...]:
     sign = 1.0 - 2.0 * (np.select(edge, [0, s + n, m - s], 0) & 1)
     rows = (np.arange(l_max + 1) + 1) ** (1 + full)  # the rows s <= l
     maps = ((np.cumsum(rows) - rows)[l] + s * s * full + s + row, sign, np.cumsum(size)[:-1])
-    for a in maps:
-        a.flags.writeable = False  # shared by every caller
-    return maps
+    return tuple(map(_frozen, maps))
 
 
 def _stack_bytes(l_max: int, full: bool, points: int, complex_blocks: bool) -> int:
@@ -249,7 +247,8 @@ class WignerTables:
     at the grid colatitudes, each built when first read: the fast
     transforms read only :attr:`shells` (built on their first call), and
     :attr:`d` serves the direct path, the ``wigner-tables`` container and
-    the tests."""
+    the tests.  Every caller shares them, so both layouts are read-only, as
+    are the weights of :func:`build_tables` and of a container."""
 
     bandwidth: int
     weights: np.ndarray = field(repr=False)
@@ -260,7 +259,8 @@ class WignerTables:
         """``d[l]`` shaped ``(2b, 2l+1, 2l+1)`` with the ring index leading,
         so the beta sums stream each degree sequentially; with
         ``columns="zero"`` it is the ``(2b, 2l+1, 1)`` n = 0 column."""
-        return wigner_d_stack(self.bandwidth - 1, beta_samples(self.bandwidth), self.columns)
+        d = wigner_d_stack(self.bandwidth - 1, beta_samples(self.bandwidth), self.columns)
+        return list(map(_frozen, d))
 
     @cached_property
     def shells(self) -> list[np.ndarray]:
@@ -276,7 +276,7 @@ class WignerTables:
         flat, start = _shell_rows(b - 1, beta_samples(b), 0, half)
         k = 1 + half * np.arange(b)  # rows per shell, each degree holding them in turn
         first = np.cumsum(k) - k
-        return [flat[start[s:] + first[s] + np.arange(k[s])[:, None]] for s in range(b)]
+        return [_frozen(flat[start[s:] + first[s] + np.arange(k[s])[:, None]]) for s in range(b)]
 
 
 def build_tables(
@@ -292,7 +292,7 @@ def build_tables(
     b = validate_bandwidth(bandwidth)
     estimate = estimate_table_bytes(b, columns) + _shell_bytes(b, columns)
     _check_cap(estimate, f"d tables and shells at bandwidth {b}", memory_cap_bytes)
-    return WignerTables(b, ring_weights(b), columns)
+    return WignerTables(b, _frozen(ring_weights(b)), columns)
 
 
 _TABLE_CACHE: OrderedDict[tuple[int, str], WignerTables] = OrderedDict()

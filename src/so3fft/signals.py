@@ -27,7 +27,7 @@ from .gft import (
     SO3Signal,
     SO3Spectrum,
 )
-from .grids import _checked_int, make_s2_grid, sphere_to_cartesian, validate_bandwidth
+from .grids import _checked_int, _frozen, make_s2_grid, sphere_to_cartesian, validate_bandwidth
 from .harmonics import WignerTables, _check_cap
 
 __all__ = [
@@ -154,8 +154,7 @@ def _image_stencil(bandwidth: int, height: int, width: int):
         inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
         np.copyto(index[i], rr * width + cc, where=inside)
         np.copyto(weight[i], (fr if dr else 1 - fr) * (fc if dc else 1 - fc), where=inside)
-    index.flags.writeable = weight.flags.writeable = False
-    return index, weight
+    return _frozen(index), _frozen(weight)
 
 
 def project_image(image: PlanarImage, bandwidth: int) -> S2Signal:
@@ -361,8 +360,7 @@ def _crc_shift_words(log2_words: int) -> np.ndarray:
         shifts = np.arange(8, dtype=_U64)[:, None] * 8
         basis = (np.arange(256, dtype=_U64) << shifts).ravel()
         op = _crc_shift(half, _crc_shift(half, basis)).reshape(8, 256)
-    op.flags.writeable = False
-    return op
+    return _frozen(op)
 
 
 def _crc_fold(registers: np.ndarray) -> int:
@@ -597,9 +595,9 @@ def read_container(path):
 
     if cls is not WignerTables:
         return cls(bandwidth, flat.reshape(shape))
-    # degree l's block starts at n (1 + count(l)), views of the one payload
+    # degree l's block starts at n (1 + count(l)), read-only views of the one payload
     n = 2 * bandwidth
-    weights, *blocks = np.split(flat, n * (1 + SO3Spectrum._count(np.arange(bandwidth))))
+    weights, *blocks = np.split(_frozen(flat), n * (1 + SO3Spectrum._count(np.arange(bandwidth))))
     tables = WignerTables(bandwidth, weights)
     vars(tables)["d"] = [blk.reshape(n, 2 * l + 1, 2 * l + 1) for l, blk in enumerate(blocks)]
     return tables
