@@ -100,9 +100,10 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    wanted = _KIND_TYPES[args.kind][0]
-    bank = _read(args.filter, wanted)
-    signal = _read(args.signal, wanted)
+    signal_cls, spectrum_cls = _KIND_TYPES[args.kind]
+    given = args.filter is not None  # else a spectrum, which is not analysed again
+    bank = _read(args.filter, signal_cls) if given else _read(args.filter_spectrum, spectrum_cls)
+    signal = _read(args.signal, signal_cls)
     out = multichannel_correlate(
         bank,
         signal,
@@ -216,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="correlate a filter bank with a signal")
     p.add_argument("--kind", choices=["s2", "so3"], required=True)
-    p.add_argument("--filter", required=True, help="filter bank container")
+    bank = p.add_mutually_exclusive_group(required=True)
+    bank.add_argument("--filter", help="filter bank signal container")
+    bank.add_argument("--filter-spectrum", help="filter bank spectrum container")
     p.add_argument("--signal", required=True, help="signal container")
     p.add_argument("--output", required=True)
     p.add_argument("--bandwidth-out", type=_bandwidth_arg, default=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .gft import (
     S2Spectrum,
     SO3Signal,
     SO3Spectrum,
+    _guarded,
+    _half_rows,
+    _shell_order,
+    _synthesis,
     s2_fft_forward,
     s2_fft_inverse,
     so3_fft_forward,
@@ -53,20 +57,23 @@ __all__ = [
 class PreparedBank:
     """A bank spectrum of ``domain`` arranged for the product once: degree l's
     read-only operand is the contiguous ``(out_channels * (2l+1),
-    in_channels * columns)`` matrix of its blocks, for l < ``len(operands)``."""
+    in_channels * columns)`` matrix of its blocks, for l < ``len(operands)``,
+    whose relative Hermitian ``defect`` each correlation guards and reports."""
 
     domain: type
     bandwidth: int
     channels: int
     operands: tuple
+    defect: float
 
 
 def _arrange(parts, k_out: int, k_in: int, b_out: int, rescale=None) -> PreparedBank:
     """The one writer of that layout: bank spectra holding whole output
     channels, in order.  ``rescale`` maps a degree's blocks, as a C-contiguous
     ``(k_out * k_in, 2l+1, columns)`` copy, to the divisor of that degree."""
-    ops, o = None, 0
+    ops, o, defect = None, 0, 0.0
     for part in parts:
+        defect = max(defect, _half_rows(part.data, b_out, type(part))[1])
         if ops is None:  # one buffer, degree-major like a spectrum's data
             at = k_out * k_in * part._count(np.arange(b_out + 1))
             buf = np.empty(at[-1], complex)
@@ -79,7 +86,7 @@ def _arrange(parts, k_out: int, k_in: int, b_out: int, rescale=None) -> Prepared
         for op in ops:
             op /= rescale(np.ascontiguousarray(op.transpose(0, 2, 1, 3)))
     operands = tuple(_frozen(op.reshape(k_out * op.shape[1], -1)) for op in ops)
-    return PreparedBank(type(part), part.bandwidth, k_out * k_in, operands)
+    return PreparedBank(type(part), part.bandwidth, k_out * k_in, operands, defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +121,17 @@ class CorrelationPlan:
     @cached_property
     def tables_in_s2(self) -> WignerTables:
         return cached_tables(self.bandwidth_in, "zero")
+
+
+@lru_cache(maxsize=16)
+def _product_rows(b_out: int) -> tuple[np.ndarray, ...]:
+    """Per degree l < ``b_out``, the rows of :func:`_shell_order` that hold the
+    coefficients (l, m >= 0, n), indexed ``[n + l, m]``."""
+    pos, width = _shell_order(b_out, SO3Spectrum)[::4]  # and 2l + 1
+    m, n = divmod(pos - SO3Spectrum._count(width // 2), width)  # m + l and n + l
+    ends = np.cumsum([(2 * l + 1) * (l + 1) for l in range(b_out - 1)])
+    order = np.split(np.lexsort((m, n, width)), ends)  # by degree, then n, then m
+    return tuple(_frozen(q.reshape(2 * l + 1, l + 1)) for l, q in enumerate(order))
 
 
 def make_correlation_plan(
@@ -221,15 +239,18 @@ def multichannel_correlate(
         raise ValueError("bank and signal must live on the same domain")
     if ps.operands[0].shape != (k_out, k_in) or len(ps.operands) < b_out:
         raise ValueError(f"bank prepared as {ps.operands[0].shape} below {len(ps.operands)}")
+    residue = _guarded(ps.defect, "in the filter bank")
     fs = fwd(f, tables_in, bandwidth_out=b_out)
-    out = SO3Spectrum.zeros(b_out, k_out)
-    for l in range(b_out):
-        # conj(sum_kn conj(f[k,m,n]) psi[o,k,p,n]) conjugates the signal, not the
-        # larger bank; on the sphere both column views hold the n = 0 column
+    rows = _product_rows(b_out)
+    coeffs = np.empty((sum(at.size for at in rows), k_out), complex)
+    for l, at in enumerate(rows):
+        # conj(sum_kn conj(f[k,m,n]) psi[o,k,p,n]) conjugates the signal, not the larger
+        # bank (on the sphere both column views hold the n = 0 column): the synthesis
+        # reads this conjugated coefficient (l, m, p) at m >= 0
         fc = np.conjugate(fs.columns(l).transpose(0, 2, 1), order="C").reshape(-1, 2 * l + 1)
         prod = np.dot(ps.operands[l], fc).reshape(k_out, 2 * l + 1, 2 * l + 1)
-        np.conjugate(prod.transpose(0, 2, 1), out=out.blocks(l))
-    return so3_fft_inverse(out, plan.tables_out)
+        coeffs[at] = prod[:, :, l:].transpose(1, 2, 0)
+    return _synthesis(coeffs, SO3Signal, plan.tables_out, residue)
 
 
 def so3_integrate(signal: SO3Signal) -> np.ndarray:

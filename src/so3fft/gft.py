@@ -249,9 +249,8 @@ def _centered(center: int, half: int) -> slice:
     return slice(center - half, center + half + 1)
 
 
-def _guarded(defect, scale, where: str) -> float:
-    """``defect / max(1, scale)``, the residue the guard checks."""
-    residue = float(defect / max(1.0, scale))
+def _guarded(residue: float, where: str) -> float:
+    """``residue``, refused above ``IMAG_RESIDUE_TOL``."""
     if residue > IMAG_RESIDUE_TOL:
         raise GuardError(
             f"imaginary residue {residue:.3e} {where} exceeds "
@@ -304,33 +303,42 @@ def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     return tuple(map(_frozen, (pos, mirror, parity, sign, 2 * l + 1)))
 
 
-def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
-    """The rows m >= 0 of a finite ``spectrum``, ``[coefficient, channel]``
-    in :func:`_shell_order`'s order, and the guarded residue of its
-    anti-Hermitian half, which would synthesise to ``i * Im f``: the defect
-    at (l, -m, -n) equals that at (l, m, n), so these rows see all of it."""
-    d = spectrum.data
+def _half_rows(data: np.ndarray, bandwidth: int, spectrum_cls) -> tuple[np.ndarray, float]:
+    """The rows m >= 0 below ``bandwidth`` of finite spectrum ``data``, ``[coefficient,
+    channel]`` in :func:`_shell_order`'s order, and the largest coefficient of its anti-Hermitian
+    half (which would synthesise to ``i * Im f``) over ``max(1, max |coefficient|)``: the
+    defect at (l, -m, -n) equals that at (l, m, n), so these rows see all of it."""
+    d = data[:, : spectrum_cls._count(bandwidth)]
     scale = np.max(np.abs(d))  # a NaN or an infinity anywhere makes it so
     if not np.isfinite(scale):
         raise ValueError("spectrum contains non-finite coefficients")
-    pos, mirror, parity = _shell_order(spectrum.bandwidth, type(spectrum))[:3]
+    pos, mirror, parity = _shell_order(bandwidth, spectrum_cls)[:3]
     coeffs = d.T[pos]
     defect = 0.5 * np.max(np.abs(coeffs - parity[:, None] * d.T[mirror].conj()))
-    return coeffs, _guarded(defect, scale, "in the spectrum")
+    return coeffs, float(defect / max(1.0, scale))
 
 
-def _shell_products(t: WignerTables, b: int, gammas: int, coeffs: np.ndarray):
-    """Yield the table rows, grid index ``(m, n mod G)`` and ``coeffs``
-    ``[(pair, l), (channel, re/im)]`` rows of each part of each shell s < b,
-    b up to the tables' bandwidth: one unpadded real GEMM, as its pairs cover
-    l = s..b-1."""
+def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
+    """:func:`_half_rows` of a whole ``spectrum``, its defect guarded."""
+    coeffs, residue = _half_rows(spectrum.data, spectrum.bandwidth, type(spectrum))
+    return coeffs, _guarded(residue, "in the spectrum")
+
+
+def _part_views(t: WignerTables, b: int, gammas: int):
+    """Yield the table rows, grid index ``(m, n mod G)`` and coefficient rows
+    of each part of each shell s < b, b up to the tables' bandwidth."""
     q = 0
     for s, rows in enumerate(t.shells[:b]):  # rows[n, l - s, j] = d^l_sn(beta_j)
         for r, mirrored, gm, gn in _shell_parts(s, gammas):
             r = rows[r, : b - s, ::-1] if mirrored else rows[r, : b - s]  # at pi - beta_j
-            p = len(r) * (b - s)
-            yield r, (gm, gn), coeffs[q : q + p].reshape(len(r), b - s, coeffs.shape[1])
-            q += p
+            yield r, (gm, gn), slice(q, q := q + len(r) * (b - s))
+
+
+def _shell_products(t: WignerTables, b: int, gammas: int, coeffs: np.ndarray):
+    """Yield :func:`_part_views`, kept on the table, with their ``coeffs`` ``[(pair,
+    l), (channel, re/im)]``: one unpadded real GEMM, as its pairs cover l = s..b-1."""
+    for r, at, q in t._once(("parts", b, gammas), lambda t: list(_part_views(t, b, gammas))):
+        yield r, at, coeffs[q].reshape(len(r), r.shape[1], coeffs.shape[1])
 
 
 @lru_cache(maxsize=16)
@@ -360,7 +368,8 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
         x, dst = x.reshape(-1, n), fc.reshape(-1, 2 * c)
     np.matmul(x, _alpha_dft(n, c, False), out=dst)
     fc = fc.view(np.complex128)
-    np.fft.fft(fc, axis=0, norm="forward", out=fc)
+    if gammas > 1:  # the sphere's one gamma sample needs no FFT
+        np.fft.fft(fc, axis=0, norm="forward", out=fc)
     # each GEMM reads a weighted [pair, j, channel] copy of its part of the grid
     # [m, n mod G, j, channel]; on the sphere (n = 0) one copy serves them all
     w, grid = t.weights[:, None], fc.transpose(3, 0, 2, 1)
@@ -382,25 +391,42 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
 
 def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto the rotation grid ``(K, 2b, 2b, G)``, with G = 1 gamma
-    sample for a sphere spectrum (its single column is n = 0)."""
-    b, k, n = spectrum.bandwidth, spectrum.channels, 2 * spectrum.bandwidth
-    gammas = n if signal_cls is SO3Signal else 1
-    t = _resolve_tables(b, tables, gammas)
+    sample for a sphere spectrum (its single column is n = 0), once guarded."""
+    b = spectrum.bandwidth
+    t = _resolve_tables(b, tables, 2 * b if signal_cls is SO3Signal else 1)
     coeffs, residue = _hermitian_rows(spectrum)
-    sign, deg = _shell_order(b, type(spectrum))[3:]
-    np.conjugate(coeffs, out=coeffs)
+    return _synthesis(np.conjugate(coeffs, out=coeffs), signal_cls, t, residue)
+
+
+def _synthesis(coeffs: np.ndarray, signal_cls, t: WignerTables, residue: float):
+    """The signal carrying ``residue`` from the conjugated rows m >= 0 (scaled in
+    place), ``[coefficient, channel]`` in :func:`_shell_order`'s order: non-finite
+    rows are refused, and the signal's checks run where no bound proves it finite."""
+    b, k, n = t.bandwidth, coeffs.shape[1], 2 * t.bandwidth
+    gammas = n if signal_cls is SO3Signal else 1
+    top = float(np.max(np.abs(coeffs)))
+    if not np.isfinite(top):
+        raise ValueError("spectrum contains non-finite coefficients")
+    sign, deg = _shell_order(b, SO3Spectrum if gammas > 1 else S2Spectrum)[3:]
     coeffs *= (sign * deg)[:, None]
     # the forward's conjugate grid at the rows m < b, [m, n mod G, j, channel]
-    fc = np.zeros((b, gammas, n, k), dtype=np.complex128)
+    fc = np.empty((b, gammas, n, k), dtype=np.complex128)
     for rows, at, c in _shell_products(t, b, gammas, coeffs.view(np.float64)):
         np.matmul(rows.transpose(0, 2, 1), c, out=fc.view(np.float64)[at])
-    # the gamma ifft in place, then one copy to [channel, j, n mod G, m]; the
-    # alpha DFT writes [channel, j, a, g] (the sphere's rings in one 2-D GEMM)
-    np.fft.ifft(fc, axis=1, norm="forward", out=fc)
+    if gammas > 1:  # no shell writes the column n = b; then the gamma ifft in place
+        fc[:, b] = 0.0
+        np.fft.ifft(fc, axis=1, norm="forward", out=fc)
+    # one copy to [channel, j, n mod G, m]; the alpha DFT writes [channel, j, a, g]
     fc = fc.T.copy()
     x, dft = fc.view(np.float64), _alpha_dft(n, b, True)
     real = np.matmul(dft, x.swapaxes(2, 3)) if gammas > 1 else x.reshape(-1, n) @ dft.T
-    return signal_cls(b, real.reshape((k,) + (n,) * signal_cls._axes), imag_residue=residue)
+    real = real.reshape((k,) + (n,) * signal_cls._axes)
+    # every sum, the FFTs' too, is within a few times sum_rows (2l+1) |row|, as |d| <= 1
+    if top * (2 * b - 1) * len(coeffs) > 2.0**960:
+        return signal_cls(b, real, imag_residue=residue)
+    out = object.__new__(signal_cls)  # contiguous, and finite by that bound
+    out.bandwidth, out.samples, out.imag_residue = b, real, residue
+    return out
 
 
 def s2_fft_forward(

@@ -30,9 +30,10 @@ reads: 4.2 MB of sampled table at b = 64 instead of 358 MB).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,6 +241,11 @@ def estimate_table_bytes(bandwidth: int, columns: str = "all") -> int:
     return 8 * 2 * b * entries_per_ring
 
 
+def _layout(build):
+    """A :class:`WignerTables` layout read as an attribute, built on first read."""
+    return property(lambda self: self._once(build.__name__, build), doc=build.__doc__)
+
+
 @dataclass(frozen=True, eq=False)
 class WignerTables:
     """The colatitude ring ``weights`` (summing to 1; the transforms supply
@@ -248,13 +254,25 @@ class WignerTables:
     transforms read only :attr:`shells` (built on their first call), and
     :attr:`d` serves the direct path, the ``wigner-tables`` container and
     the tests.  Every caller shares them, so both layouts are read-only, as
-    are the weights of :func:`build_tables` and of a container."""
+    are the weights of :func:`build_tables` and of a container.  Each lazy layout
+    is built once under the table's own lock, which ``cached_property`` lacks from 3.12."""
 
+    __slots__ = ("_lock", "__dict__", "__weakref__")
     bandwidth: int
     weights: np.ndarray = field(repr=False)
     columns: str = "all"
 
-    @cached_property
+    def __post_init__(self):
+        object.__setattr__(self, "_lock", threading.RLock())
+
+    def _once(self, key, build):
+        """``build(self)``, built once under the table's lock, kept in ``vars(self)``."""
+        with self._lock:
+            if key not in vars(self):
+                vars(self)[key] = build(self)
+            return vars(self)[key]
+
+    @_layout
     def d(self) -> list[np.ndarray]:
         """``d[l]`` shaped ``(2b, 2l+1, 2l+1)`` with the ring index leading,
         so the beta sums stream each degree sequentially; with
@@ -262,7 +280,7 @@ class WignerTables:
         d = wigner_d_stack(self.bandwidth - 1, beta_samples(self.bandwidth), self.columns)
         return list(map(_frozen, d))
 
-    @cached_property
+    @_layout
     def shells(self) -> list[np.ndarray]:
         """``shells[s][n, l - s, j] = d^l_sn(beta_j)``, l = s..b-1, n = 0..s
         (n = 0 alone for the n = 0 column): all the fast transforms read of

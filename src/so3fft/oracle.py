@@ -77,7 +77,8 @@ def _on_rotation_grid(signal):
 def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
     # off-grid synthesis is not real by construction: guard what it drops
     imag, real = np.max(np.abs(values.imag)), np.max(np.abs(values.real))
-    return np.ascontiguousarray(values.real), _guarded(imag, real, "after synthesis")
+    residue = float(imag / max(1.0, real))
+    return np.ascontiguousarray(values.real), _guarded(residue, "after synthesis")
 
 
 def so3_project_direct(signal):
