@@ -49,7 +49,8 @@ at (l, m, n), so the residue is the whole spectrum's and the same on both
 paths.  The guard and both fast directions read one cached index map,
 ``_shell_order``.  A residue above ``IMAG_RESIDUE_TOL`` raises
 :class:`GuardError`; below it the direct inverse keeps the real part of
-its sums.
+its sums.  A correlation hands its product rows to the fast synthesis
+directly: it guards its filter bank instead (:mod:`.correlation`).
 """
 
 from __future__ import annotations
