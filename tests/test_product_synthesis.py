@@ -174,25 +174,27 @@ def test_a_public_inverse_near_overflow_never_returns_non_finite_samples(domain)
     assert 0 < returned < 8  # some finish finite, and some overflow
 
 
-def test_two_threads_reading_fresh_shells_build_them_once(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threads_reading_fresh_shells_build_them_once(monkeypatch, workers):
+    """Four threads is more than this suite's machines have cores."""
     calls = []
     rows = harmonics._shell_rows
 
     def slow_rows(*args):
         calls.append(threading.get_ident())
-        time.sleep(0.05)  # wide enough for the other thread to arrive
+        time.sleep(0.05)  # wide enough for the other threads to arrive
         return rows(*args)
 
     monkeypatch.setattr(harmonics, "_shell_rows", slow_rows)
     tables = WignerTables(6, ring_weights(6))
-    start = threading.Barrier(2)
-    seen = [None, None]
+    start = threading.Barrier(workers)
+    seen = [None] * workers
 
     def read(i):
         start.wait()
         seen[i] = tables.shells
 
-    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -204,7 +206,7 @@ def test_two_threads_reading_fresh_shells_build_them_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
-    assert seen[0] is seen[1] is tables.shells
+    assert all(got is tables.shells for got in seen)
 
 
 def test_the_part_views_are_built_once_per_bandwidth_and_gamma_count():
