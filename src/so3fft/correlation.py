@@ -3,10 +3,9 @@
 For real inputs, correlating a filter bank against a signal reduces degree
 by degree to ``C^l = fhat^l @ conj(psihat^l).T`` over the spectra's column
 views (an outer product of the single ``n = 0`` columns when the inputs
-live on the sphere), after which one fast synthesis on the rotation group
-recovers the correlation values on the full grid: the inverse transform's,
-fed the product's rows m >= 0 directly, with the filter bank's Hermitian
-defect, checked once when the bank is arranged, in place of its guard.  The same
+live on the sphere), after which the fast inverse's synthesis, fed the product's
+rows m >= 0 directly and guarding the bank's Hermitian defect in place of the
+product's, recovers the correlation values on the full grid.  The same
 spectral route gives exact rotation of bandlimited signals and the zonal
 spherical convolution.
 """

@@ -49,8 +49,7 @@ at (l, m, n), so the residue is the whole spectrum's and the same on both
 paths.  The guard and both fast directions read one cached index map,
 ``_shell_order``.  A residue above ``IMAG_RESIDUE_TOL`` raises
 :class:`GuardError`; below it the direct inverse keeps the real part of
-its sums.  A correlation hands its product rows to the fast synthesis
-directly: it guards its filter bank instead (:mod:`.correlation`).
+its sums.  Correlations synthesise their product rows directly (:mod:`.correlation`).
 """
 
 from __future__ import annotations
@@ -392,7 +391,7 @@ def _fft_forward(samples: np.ndarray, spectrum_cls, tables, bandwidth_out=None):
 
 def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     """Synthesis onto the rotation grid ``(K, 2b, 2b, G)``, with G = 1 gamma
-    sample for a sphere spectrum (its single column is n = 0), once guarded."""
+    sample for a sphere spectrum (its single column is n = 0), after the guard."""
     b = spectrum.bandwidth
     t = _resolve_tables(b, tables, 2 * b if signal_cls is SO3Signal else 1)
     coeffs, residue = _hermitian_rows(spectrum)

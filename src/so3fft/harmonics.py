@@ -257,7 +257,7 @@ class WignerTables:
     are the weights of :func:`build_tables` and of a container.  Each lazy layout
     is built once under the table's own lock, which ``cached_property`` lacks from 3.12."""
 
-    __slots__ = ("_lock", "__dict__", "__weakref__")
+    __slots__ = ("_lock", "__dict__", "__weakref__")  # vars() holds the layouts alone
     bandwidth: int
     weights: np.ndarray = field(repr=False)
     columns: str = "all"

@@ -66,7 +66,9 @@ def _reference(bank, f, b_out, k_out):
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 @pytest.mark.parametrize("b,b_out,k_in,k_out", SHAPES)
-def test_correlation_samples_are_the_product_spectrum_inverse_bit_for_bit(domain, b, b_out, k_in, k_out):
+def test_correlation_samples_are_the_product_spectrum_inverse_bit_for_bit(
+    domain, b, b_out, k_in, k_out
+):
     f = _draw(domain, b, k_in, 1)
     spec = DOMAINS[domain][2](_draw(domain, b, k_in * k_out, 2))
     want = _reference(spec, f, b_out, k_out)
@@ -138,11 +140,11 @@ def test_a_bank_that_is_not_a_real_filter_is_refused_in_every_form(domain, form,
     f = _draw(domain, 4, 1, 12)
     plan = make_correlation_plan(4) if form == "spectrum with a plan" else None
     if form == "samples":  # a real bank's spectrum is Hermitian: corrupt its forward
-        monkeypatch.setattr(
-            correlation,
-            fwd.__name__,
-            lambda s, *a, **kw: _not_a_real_filter(fwd(s, *a, **kw)) if s is samples else fwd(s, *a, **kw),
-        )
+        def corrupted(signal, *args, **kwargs):
+            spec = fwd(signal, *args, **kwargs)
+            return _not_a_real_filter(spec) if signal is samples else spec
+
+        monkeypatch.setattr(correlation, fwd.__name__, corrupted)
         bank = samples
     else:
         bank = _not_a_real_filter(fwd(samples))
