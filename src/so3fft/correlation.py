@@ -25,7 +25,7 @@ from .gft import (
     SO3Signal,
     SO3Spectrum,
     _guarded,
-    _half_rows,
+    _hermitian_rows,
     _shell_order,
     _synthesis,
     s2_fft_forward,
@@ -74,7 +74,7 @@ def _arrange(parts, k_out: int, k_in: int, b_out: int, rescale=None) -> Prepared
     ``(k_out * k_in, 2l+1, columns)`` copy, to the divisor of that degree."""
     ops, o, defect = None, 0, 0.0
     for part in parts:
-        defect = max(defect, _half_rows(part.data, b_out, type(part))[1])
+        defect = max(defect, _hermitian_rows(part, b_out)[1])
         if ops is None:  # one buffer, degree-major like a spectrum's data
             at = k_out * k_in * part._count(np.arange(b_out + 1))
             buf = np.empty(at[-1], complex)
@@ -127,12 +127,11 @@ class CorrelationPlan:
 @lru_cache(maxsize=16)
 def _product_rows(b_out: int) -> tuple[np.ndarray, ...]:
     """Per degree l < ``b_out``, the rows of :func:`_shell_order` that hold the
-    coefficients (l, m >= 0, n), indexed ``[n + l, m]``."""
-    pos, width = _shell_order(b_out, SO3Spectrum)[::4]  # and 2l + 1
-    m, n = divmod(pos - SO3Spectrum._count(width // 2), width)  # m + l and n + l
-    ends = np.cumsum([(2 * l + 1) * (l + 1) for l in range(b_out - 1)])
-    order = np.split(np.lexsort((m, n, width)), ends)  # by degree, then n, then m
-    return tuple(_frozen(q.reshape(2 * l + 1, l + 1)) for l, q in enumerate(order))
+    coefficients (l, m >= 0, n), indexed ``[m, n + l]``: their packed positions
+    run by degree, then m, then n."""
+    rows = np.argsort(_shell_order(b_out, SO3Spectrum)[0])
+    ends = np.cumsum([(l + 1) * (2 * l + 1) for l in range(b_out - 1)])
+    return tuple(_frozen(q.reshape(l + 1, -1)) for l, q in enumerate(np.split(rows, ends)))
 
 
 def make_correlation_plan(
@@ -250,7 +249,7 @@ def multichannel_correlate(
         # reads this conjugated coefficient (l, m, p) at m >= 0
         fc = np.conjugate(fs.columns(l).transpose(0, 2, 1), order="C").reshape(-1, 2 * l + 1)
         prod = np.dot(ps.operands[l], fc).reshape(k_out, 2 * l + 1, 2 * l + 1)
-        coeffs[at] = prod[:, :, l:].transpose(1, 2, 0)
+        coeffs[at] = prod[:, :, l:].transpose(2, 1, 0)
     return _synthesis(coeffs, SO3Signal, plan.tables_out, residue)
 
 

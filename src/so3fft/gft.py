@@ -249,14 +249,14 @@ def _centered(center: int, half: int) -> slice:
     return slice(center - half, center + half + 1)
 
 
-def _guarded(residue: float, where: str) -> float:
-    """``residue``, refused above ``IMAG_RESIDUE_TOL``."""
+def _guarded(residue, where: str) -> float:
+    """``residue`` as a float, refused above ``IMAG_RESIDUE_TOL``."""
     if residue > IMAG_RESIDUE_TOL:
         raise GuardError(
             f"imaginary residue {residue:.3e} {where} exceeds "
             f"{IMAG_RESIDUE_TOL:.0e}; spectrum violates the real-signal symmetry"
         )
-    return residue
+    return float(residue)
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +303,21 @@ def _shell_order(bandwidth: int, spectrum_cls) -> tuple[np.ndarray, ...]:
     return tuple(map(_frozen, (pos, mirror, parity, sign, 2 * l + 1)))
 
 
-def _half_rows(data: np.ndarray, bandwidth: int, spectrum_cls) -> tuple[np.ndarray, float]:
-    """The rows m >= 0 below ``bandwidth`` of finite spectrum ``data``, ``[coefficient,
-    channel]`` in :func:`_shell_order`'s order, and the largest coefficient of its anti-Hermitian
-    half (which would synthesise to ``i * Im f``) over ``max(1, max |coefficient|)``: the
-    defect at (l, -m, -n) equals that at (l, m, n), so these rows see all of it."""
-    d = data[:, : spectrum_cls._count(bandwidth)]
+def _hermitian_rows(spectrum, bandwidth: int | None = None) -> tuple[np.ndarray, float]:
+    """The rows m >= 0 below ``bandwidth`` (default all) of a finite ``spectrum``,
+    ``[coefficient, channel]`` in :func:`_shell_order`'s order, and the residue the
+    guard checks: the largest coefficient of their anti-Hermitian half, which would
+    synthesise to ``i * Im f``, over ``max(1, max |coefficient|)``.  The defect at
+    (l, -m, -n) equals that at (l, m, n), so these rows see all of it."""
+    b = spectrum.bandwidth if bandwidth is None else bandwidth
+    d = spectrum.data[:, : spectrum._count(b)]
     scale = np.max(np.abs(d))  # a NaN or an infinity anywhere makes it so
     if not np.isfinite(scale):
         raise ValueError("spectrum contains non-finite coefficients")
-    pos, mirror, parity = _shell_order(bandwidth, spectrum_cls)[:3]
+    pos, mirror, parity = _shell_order(b, type(spectrum))[:3]
     coeffs = d.T[pos]
     defect = 0.5 * np.max(np.abs(coeffs - parity[:, None] * d.T[mirror].conj()))
     return coeffs, float(defect / max(1.0, scale))
-
-
-def _hermitian_rows(spectrum) -> tuple[np.ndarray, float]:
-    """:func:`_half_rows` of a whole ``spectrum``, its defect guarded."""
-    coeffs, residue = _half_rows(spectrum.data, spectrum.bandwidth, type(spectrum))
-    return coeffs, _guarded(residue, "in the spectrum")
 
 
 def _part_views(t: WignerTables, b: int, gammas: int):
@@ -395,6 +391,7 @@ def _fft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     b = spectrum.bandwidth
     t = _resolve_tables(b, tables, 2 * b if signal_cls is SO3Signal else 1)
     coeffs, residue = _hermitian_rows(spectrum)
+    residue = _guarded(residue, "in the spectrum")
     return _synthesis(np.conjugate(coeffs, out=coeffs), signal_cls, t, residue)
 
 
@@ -486,7 +483,7 @@ def _dft_inverse(spectrum, signal_cls, tables: WignerTables | None):
     b, k, n = spectrum.bandwidth, spectrum.channels, 2 * spectrum.bandwidth
     gammas = n if signal_cls is SO3Signal else 1
     t = _resolve_tables(b, tables, gammas)
-    residue = _hermitian_rows(spectrum)[1]
+    residue = _guarded(_hermitian_rows(spectrum)[1], "in the spectrum")
     e_conj, eg_conj = (p.conj() for p in _dft_phases(b, gammas))
     h = eg_conj.shape[1] // 2
     cols = [spectrum.columns(l) for l in range(b)]

@@ -77,8 +77,7 @@ def _on_rotation_grid(signal):
 def _realized(values: np.ndarray) -> tuple[np.ndarray, float]:
     # off-grid synthesis is not real by construction: guard what it drops
     imag, real = np.max(np.abs(values.imag)), np.max(np.abs(values.real))
-    residue = float(imag / max(1.0, real))
-    return np.ascontiguousarray(values.real), _guarded(residue, "after synthesis")
+    return np.ascontiguousarray(values.real), _guarded(imag / max(1.0, real), "after synthesis")
 
 
 def so3_project_direct(signal):

@@ -25,7 +25,7 @@ from so3fft.gft import (
     S2Spectrum,
     SO3Signal,
     SO3Spectrum,
-    _half_rows,
+    _hermitian_rows,
     s2_fft_forward,
     s2_fft_inverse,
     so3_fft_forward,
@@ -86,7 +86,7 @@ def test_imag_residue_is_the_banks_defect(domain, skew):
     b, b_out = 6, 4
     spec = DOMAINS[domain][2](_draw(domain, b, 4, 3))
     spec.blocks(2)[:, 1] += skew  # below the guard, and inside the degrees read
-    defect = _half_rows(spec.data, b_out, type(spec))[1]
+    defect = _hermitian_rows(spec, b_out)[1]
     assert (defect > 1e-10) == (skew > 0)
     prepared = correlation._arrange([spec], 2, 2, b_out)
     assert prepared.defect == defect
